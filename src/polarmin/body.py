@@ -1,9 +1,16 @@
 """Convex-body functionals: support, gauge, polar duality, central symmetral.
 
-A Body wraps a planar VPolygon (materialized lazily for planar family
-instances) or stays symbolic in higher dimensions, where only closed-form
-data is available.  Polar directions are memoized per body, so gauge values
-inside enumeration loops never repeat hull work.
+A Body wraps a planar VPolygon or stays symbolic in higher dimensions, where
+only closed-form data is available.  Every derived quantity has one
+linear-time, hull-free code path and is computed at most once per body:
+
+  * the polar's vertices are read off the edges of K (the edge <n, x> = c
+    dualizes to the vertex n/c), so gauge and polar share one memo;
+  * the central symmetral is the Minkowski sum (K + (-K))/2, built by
+    merging the two angle-sorted edge sequences;
+  * successive minima are stored on the body by `minima.successive_minima`.
+
+The memos live in the body's slots and are freed with it.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ class Body:
 
     `family` keeps provenance as (name, params dict) when the body was built
     by a family constructor.  All values are immutable after construction;
-    the polar memo is populated at most once, so concurrent readers always
-    observe a single consistent value.
+    each memo (polar directions, polar, symmetral, minima certificate) is
+    populated at most once, so concurrent readers always observe a single
+    consistent value.
     """
 
-    __slots__ = ("dim", "family", "_poly", "_hrep", "_polar_dirs", "_polar", "_symmetral")
+    __slots__ = ("dim", "family", "_poly", "_hrep", "_polar_dirs", "_polar",
+                 "_symmetral", "_minima")
 
     def __init__(self, poly: VPolygon | None = None, hrep: HPolytope | None = None,
                  family=None, dim: int = 2):
@@ -36,6 +45,7 @@ class Body:
         self._polar_dirs = None
         self._polar = None
         self._symmetral = None
+        self._minima = None
         if poly is None and hrep is not None and hrep.dim == 2:
             self._poly = core.halfplane_intersect(hrep)
 
@@ -67,12 +77,22 @@ class Body:
     def contains_origin(self, mode: str = "open") -> bool:
         return core.contains(self.polygon, core.ORIGIN, mode)
 
+    def _key(self):
+        """The polygon when planar; otherwise (dim, family, H-representation),
+        with the family parameters in a hashable, order-free form."""
+        if self._poly is not None:
+            return self._poly
+        family = None
+        if self.family is not None:
+            name, params = self.family
+            family = (name, tuple(sorted(params.items())))
+        return (self.dim, family, self._hrep)
+
     def __eq__(self, other):
-        return isinstance(other, Body) and self.is_planar and other.is_planar \
-            and self.polygon == other.polygon
+        return isinstance(other, Body) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.polygon)
+        return hash(self._key())
 
     def __repr__(self):
         if self._poly is not None:
@@ -120,31 +140,65 @@ def gauge(K, x: Vec2) -> Fraction:
 def polar(K) -> Body:
     """K° = {y : <x, y> <= 1 for all x in K}, with the bipolar memoized.
 
-    Each vertex v of K contributes the row <v, y> <= 1; the rows are then
-    intersected exactly.  polar(polar(K)) returns a body equal to K.
+    The vertices of K° are the memoized polar directions n/c, one per edge
+    {<n, x> = c} of K and already in counterclockwise order, so the polar
+    costs O(m) and no hull or halfplane work.  polar(polar(K)) returns a
+    body equal to K.
     """
     K = as_body(K)
     if K._polar is None:
-        if not K.contains_origin("open"):
-            raise OriginNotInterior("polar needs the origin strictly inside")
-        rows = [(v, Fraction(1)) for v in K.polygon.vertices]
-        dual = Body(poly=core.halfplane_intersect(HPolytope.planar(rows)))
+        dual = Body(poly=VPolygon(_polar_dirs(K), _trusted=True))
         dual._polar = K
         K._polar = dual
     return K._polar
 
 
+def _angle_half(d: Vec2) -> int:
+    # 0 for directions with angle in [0, pi), 1 for [pi, 2 pi).
+    return 0 if d.y > 0 or (d.y == 0 and d.x > 0) else 1
+
+
 def central_symmetral(K) -> Body:
-    """cs(K) = (K - K)/2, as the hull of all pairwise half-differences."""
+    """cs(K) = (K + (-K))/2, the Minkowski sum of K and its reflection.
+
+    Both edge sequences are walked from their lowest-then-leftmost vertex,
+    where the edge angles start in [0, pi) and increase within [0, 2 pi),
+    and are merged by angle in O(n) (de Berg et al., Computational
+    Geometry, section 13.3).  Each output vertex is (v_i - v_j)/2 for the
+    current vertex v_i of K and -v_j of -K.  Edges of equal direction are
+    taken in one step, so the result is strictly convex.
+    """
     K = as_body(K)
     if K._symmetral is None:
         vs = K.polygon.vertices
-        pts = set()
-        for a in vs:
-            for b in vs:
-                if a != b:
-                    pts.add((a - b) * Fraction(1, 2))
-        K._symmetral = Body(poly=core.convex_hull(pts))
+        n = len(vs)
+        edges = [vs[(k + 1) % n] - vs[k] for k in range(n)]
+        halves = [_angle_half(e) for e in edges]
+        # -K starts at the reflection of K's highest-then-rightmost vertex;
+        # its edge after -v_j is -e_j, which lies in the other half.
+        i = min(range(n), key=lambda k: (vs[k].y, vs[k].x))
+        j = max(range(n), key=lambda k: (vs[k].y, vs[k].x))
+        half = Fraction(1, 2)
+        out = []
+        left_i = left_j = n
+        while left_i or left_j:
+            if not left_j:
+                order = -1
+            elif not left_i:
+                order = 1
+            elif halves[i] == halves[j]:  # e_i and -e_j in different halves
+                order = -1 if halves[i] == 0 else 1
+            else:
+                c = edges[j].cross(edges[i])  # cross(e_i, -e_j)
+                order = (c < 0) - (c > 0)
+            if order <= 0:
+                i = (i + 1) % n
+                left_i -= 1
+            if order >= 0:
+                j = (j + 1) % n
+                left_j -= 1
+            out.append((vs[i] - vs[j]) * half)
+        K._symmetral = Body(poly=VPolygon(out, _trusted=True))
     return K._symmetral
 
 

@@ -21,8 +21,8 @@ from .families import FamilySpec, make
 from .jsonio import body_from_json, body_to_json, vertices_json
 from .minima import successive_minima
 from .search import multi_start
-from .verify import DEFAULT_GRUNBAUM_NORMALS, THEOREM_CHECKS, standard_checks, \
-    verify_suite
+from .verify import DEFAULT_GRUNBAUM_NORMALS, THEOREM_CHECKS, \
+    _origin_interior_rep, standard_checks, verify_suite
 
 PARSE_ERROR = 2
 GEOMETRY_ERROR = 3
@@ -95,8 +95,7 @@ def analyze(body_file, decimal, output):
                 "cs": successive_minima(cs).to_json(),
                 "cs_polar": successive_minima(polar(cs)).to_json(),
                 "polar": successive_minima(
-                    polar(K if K.contains_origin("open")
-                          else _centered(K))).to_json(),
+                    polar(_origin_interior_rep(K))).to_json(),
             },
             "reports": [r.to_json() for r in reports],
         }
@@ -109,12 +108,6 @@ def analyze(body_file, decimal, output):
         out = _with_decimals(out, decimal)
     _emit(out, output)
     sys.exit(0 if out["all_theorems_hold"] else 1)
-
-
-def _centered(K):
-    from .body import translate
-    from .core import centroid
-    return translate(K, -centroid(K.polygon))
 
 
 @main.command()
@@ -152,6 +145,10 @@ def search(t_, seeds, iters, trace, decimal, output):
         t = rat(t_)
         if t < 1:
             raise BadParams("t must be >= 1")
+        if seeds < 0:
+            raise BadParams("seeds must be >= 0")
+        if iters < 0:
+            raise BadParams("iters must be >= 0")
     except (BadParams, ValueError) as exc:
         _fail(PARSE_ERROR, f"bad parameter: {exc}")
         return

@@ -29,7 +29,10 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         if not _RAT_RE.match(value.strip()):
             raise ValueError(f"not a rational literal: {value!r}")
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 

@@ -97,8 +97,17 @@ def successive_minima(K) -> MinimaCert:
     which is maintained through the two cheapest points on distinct lines;
     pruned points have gauge above the final lambda_2, so the witness
     selection is unaffected.  The doubling loop is a safety net only.
+
+    The certificate is stored on the body and returned by every later call,
+    so each body is enumerated at most once.
     """
     K = as_body(K)
+    if K._minima is None:
+        K._minima = _certify(K)
+    return K._minima
+
+
+def _certify(K: Body) -> MinimaCert:
     ext = _extents(K)
     seeds = sorted(min(gauge(K, u), gauge(K, -u))
                    for u in (E1, E2, vec(1, 1), vec(1, -1)))

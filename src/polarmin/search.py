@@ -2,7 +2,8 @@
 
 A(t) is the set of planar bodies with interior origin whose symmetral-polar
 minima are (1/t, 1), attained at e1 and e2.  The search state is the primal
-polygon's vertex list; dual edges are recomputed on demand via the polar.
+polygon's vertex list; dual edges come from the memoized polar, and each
+candidate computes its contact map once.
 Three moves are used, all solved exactly over a finite constraint set and
 re-certified from scratch afterwards:
 
@@ -28,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .body import Body, as_body, apply_transform, central_symmetral, gauge, \
     polar, support, translate, Transform2
@@ -54,6 +56,24 @@ class Candidate:
     feasible: bool
     cert: MinimaCert
     volume: Fraction
+
+    @cached_property
+    def contacts_by_edge(self) -> dict:
+        """For each primal vertex index, the contact points of C(K) lying in
+        the relative interior of its dual edge (= lattice points whose
+        support is attained at that vertex only)."""
+        body = self.body
+        vs = body.polygon.vertices
+        dual = polar(central_symmetral(body))
+        reps = [z for z in _constraint_reps(self) if gauge(dual, z) == 1]
+        pts = reps + [-z for z in reps] + [E1, -E1]
+        by_edge = {i: set() for i in range(len(vs))}
+        for z in pts:
+            h = support(body, z)
+            argmax = [i for i, v in enumerate(vs) if v.dot(z) == h]
+            if len(argmax) == 1:
+                by_edge[argmax[0]].add(z * (1 / h))
+        return {i: frozenset(c) for i, c in by_edge.items()}
 
 
 @dataclass(frozen=True)
@@ -166,21 +186,8 @@ def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
 
 
 def _contact_points_by_edge(cand: Candidate):
-    """For each primal vertex index, the contact points of C(K) lying in the
-    relative interior of its dual edge (= lattice points whose support is
-    attained at that vertex only)."""
-    body = cand.body
-    vs = body.polygon.vertices
-    dual = polar(central_symmetral(body))
-    reps = [z for z in _constraint_reps(cand) if gauge(dual, z) == 1]
-    pts = [z for z in reps] + [-z for z in reps] + [E1, -E1]
-    by_edge = {i: set() for i in range(len(vs))}
-    for z in pts:
-        h = support(body, z)
-        argmax = [i for i, v in enumerate(vs) if v.dot(z) == h]
-        if len(argmax) == 1:
-            by_edge[argmax[0]].add(z * (1 / h))
-    return by_edge
+    """The candidate's contact map, computed once per candidate."""
+    return cand.contacts_by_edge
 
 
 def _lattice_constraints(cand: Candidate, extra=()):
@@ -269,7 +276,7 @@ def _combinatorial_taus(vs, i, w):
 
 def rotatable_contact(cand: Candidate, edge_index: int):
     """The single interior contact of the dual edge, or None."""
-    contacts = _contact_points_by_edge(cand).get(edge_index, set())
+    contacts = _contact_points_by_edge(cand).get(edge_index, frozenset())
     if len(contacts) != 1:
         return None
     return next(iter(contacts))
@@ -288,7 +295,7 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     vs = cand.body.polygon.vertices
-    contacts = _contact_points_by_edge(cand).get(edge_index, set())
+    contacts = _contact_points_by_edge(cand).get(edge_index, frozenset())
     if len(contacts) != 1:
         raise NotRotatable(
             "dual edge must contain exactly one contact point in its relative interior")
@@ -442,7 +449,9 @@ def multi_start(t, seeds, iters: int = 200, budget: int = 400) -> SearchResult:
     best_seed = None
     converged_count = 0
     failed = []
+    tried = 0
     for seed in seeds:
+        tried += 1
         rng = random.Random(f"at-search-{seed}")
         start = sample_feasible(rng, t, budget)
         if start is None:
@@ -455,6 +464,6 @@ def multi_start(t, seeds, iters: int = 200, budget: int = 400) -> SearchResult:
         if best is None or final.volume < best.volume:
             best, best_trace, best_seed = final, trace, seed
     if best is None:
-        raise NoFeasibleStart(f"no feasible start in {len(list(seeds))} seeds")
+        raise NoFeasibleStart(f"no feasible start in {tried} seeds")
     return SearchResult(best, target, tuple(best_trace), best_seed,
                         converged_count, tuple(failed))

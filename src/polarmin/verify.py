@@ -128,7 +128,7 @@ def check_upper_centered(K) -> Report:
     internally; the applied shift is recorded in the report)."""
     K = as_body(K)
     c = centroid(K.polygon)
-    Kc = translate(K, -c)
+    Kc = K if c.is_zero() else translate(K, -c)
     l1, l2 = _lam(polar(Kc))
     meta = {} if c.is_zero() else {"translated_by": f"({rat_str(-c.x)}, {rat_str(-c.y)})"}
     return _report("eq_1_11", K.volume(), Fraction(9, 2) * l1 * l2, "le", meta=meta)

@@ -50,3 +50,30 @@ def brute_minima(ccw_vertices, box: int):
     lam1, z1 = gauged[0]
     lam2 = min(g for g, z in gauged if z1[0] * z[1] - z1[1] * z[0] != 0)
     return lam1, lam2
+
+
+def _hull(points):
+    """CCW strictly convex hull of (x, y) tuples by monotone chain, starting
+    at the lexicographically smallest point."""
+    pts = sorted(set(points))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
+def pairwise_symmetral(vertices):
+    """Central symmetral (K - K)/2 as the hull of all pairwise
+    half-differences of the vertices: O(n^2) points, no edge merging."""
+    half = Fraction(1, 2)
+    return _hull(((Fraction(a[0]) - b[0]) * half, (Fraction(a[1]) - b[1]) * half)
+                 for a in vertices for b in vertices if a != b)

@@ -256,6 +256,19 @@ class TestEqualityGaugeBiconditional:
         assert checked_equal > 0  # the equality branch was actually exercised
 
 
+class TestBodyEquality:
+    def test_non_planar_bodies_compare_by_dim_family_and_hrep(self):
+        cube3 = pm.make(pm.FamilySpec("cube", {}, 3))
+        assert cube3 == cube3 == pm.make(pm.FamilySpec("cube", {}, 3))
+        assert hash(cube3) == hash(pm.make(pm.FamilySpec("cube", {}, 3)))
+        assert cube3 != pm.make(pm.FamilySpec("cube", {}, 4))
+        assert cube3 != pm.Body(hrep=cube3._hrep, dim=3)  # no provenance
+        t_of_s = pm.make(pm.FamilySpec("T_of_s", {"s": 2}, 3))
+        assert t_of_s != pm.make(pm.FamilySpec("T_of_s", {"s": 3}, 3))
+        assert len({cube3, pm.make(pm.FamilySpec("cube", {}, 3)), t_of_s}) == 2
+        assert cube3 != SQUARE
+
+
 class TestBodyJson:
     def test_vpoly_roundtrip_bit_exact(self):
         doc = pm.body_to_json(T23)

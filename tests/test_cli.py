@@ -46,6 +46,11 @@ class TestFamilyCommand:
     def test_unknown_flag_is_error(self):
         assert run("family", "--name", "cube", "--bogus", "1").exit_code == 2
 
+    def test_zero_denominator_exit_2(self):
+        res = run("family", "--name", "T_st", "--s", "1/0", "--t", "3")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "zero denominator" in res.output
+
     def test_byte_stable(self):
         a = run("family", "--name", "T_st", "--s", "2", "--t", "3").output
         b = run("family", "--name", "T_st", "--s", "2", "--t", "3").output
@@ -74,6 +79,12 @@ class TestAnalyzeCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run("analyze", str(path)).exit_code == 2
+
+    def test_zero_denominator_exit_2(self, tmp_path):
+        doc = {"type": "vpoly", "vertices": [["1/0", "0"], ["1", "1"], ["0", "-1"]]}
+        res = run("analyze", write_body(tmp_path, doc))
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "parse error" in res.output
 
     def test_degenerate_body_exit_3(self, tmp_path):
         doc = {"type": "vpoly", "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}
@@ -110,6 +121,17 @@ class TestSearchCommand:
     def test_bad_t_exit_2(self):
         assert run("search", "--t", "1/2").exit_code == 2
         assert run("search", "--t", "abc").exit_code == 2
+
+    def test_zero_denominator_exit_2(self):
+        res = run("search", "--t", "1/0")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "zero denominator" in res.output
+
+    def test_negative_counts_exit_2(self):
+        for flag in ("--iters", "--seeds"):
+            res = run("search", "--t", "1", flag, "-1")
+            assert res.exit_code == 2, flag
+            assert "must be >= 0" in res.output
 
     def test_trace_flag(self):
         with_trace = json.loads(run("search", "--t", "1", "--seeds", "2",

@@ -200,6 +200,10 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             pm.rat("1.5")
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            pm.rat("1/0")
+
     def test_decimal_rendering(self):
         assert pm.dec_str(F(1, 3), 6) == "0.333333"
         assert pm.dec_str(F(-3, 2), 3) == "-1.500"

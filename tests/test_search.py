@@ -190,6 +190,10 @@ class TestMultiStart:
         with pytest.raises(NoFeasibleStart):
             pm.multi_start(1, [], 10)
 
+    def test_seed_generator_counted_as_consumed(self):
+        with pytest.raises(NoFeasibleStart, match="in 2 seeds"):
+            pm.multi_start(1, (s for s in range(2)), 10, budget=0)
+
     def test_contact_structure_at_convergence(self):
         res = pm.multi_start(2, range(6), 100)
         by_edge = _contact_points_by_edge(res.best)
