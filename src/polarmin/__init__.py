@@ -7,8 +7,9 @@ triangle bound), and a constrained local search over the normalized class
 A(t) whose minimum is attained by a triangle.
 """
 
-from .body import Body, Transform2, apply_transform, as_body, central_symmetral, \
-    gauge, gauge_cs_identity, is_symmetric, polar, scale, support, translate
+from .body import Body, Transform2, apply_transform, as_body, centered, \
+    central_symmetral, gauge, gauge_cs_identity, is_symmetric, polar, scale, \
+    support, translate
 from .core import E1, E2, ORIGIN, HPolytope, Rat, Vec2, VPolygon, area, centroid, \
     clip_halfplane, contains, convex_hull, dec_str, edge_halfplanes, \
     halfplane_intersect, rat, rat_str, vec

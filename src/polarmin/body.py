@@ -8,7 +8,9 @@ linear-time, hull-free code path and is computed at most once per body:
     dualizes to the vertex n/c), so gauge and polar share one memo;
   * the central symmetral is the Minkowski sum (K + (-K))/2, built by
     merging the two angle-sorted edge sequences;
-  * successive minima are stored on the body by `minima.successive_minima`.
+  * successive minima are stored on the body by `minima.successive_minima`;
+  * the centroid translate is built once and shares the body's symmetral,
+    since cs(K + v) = cs(K).
 
 The memos live in the body's slots and are freed with it.
 """
@@ -28,13 +30,13 @@ class Body:
 
     `family` keeps provenance as (name, params dict) when the body was built
     by a family constructor.  All values are immutable after construction;
-    each memo (polar directions, polar, symmetral, minima certificate) is
-    populated at most once, so concurrent readers always observe a single
-    consistent value.
+    each memo (polar directions, polar, symmetral, minima certificate,
+    centroid translate) is populated at most once, so concurrent readers
+    always observe a single consistent value.
     """
 
     __slots__ = ("dim", "family", "_poly", "_hrep", "_polar_dirs", "_polar",
-                 "_symmetral", "_minima")
+                 "_symmetral", "_minima", "_centered")
 
     def __init__(self, poly: VPolygon | None = None, hrep: HPolytope | None = None,
                  family=None, dim: int = 2):
@@ -46,6 +48,7 @@ class Body:
         self._polar = None
         self._symmetral = None
         self._minima = None
+        self._centered = None
         if poly is None and hrep is not None and hrep.dim == 2:
             self._poly = core.halfplane_intersect(hrep)
 
@@ -210,6 +213,23 @@ def is_symmetric(K) -> bool:
 
 def translate(K, v: Vec2) -> Body:
     return Body(poly=core.translate_poly(as_body(K).polygon, v))
+
+
+def centered(K) -> Body:
+    """K translated by minus its centroid, memoized; K itself when its
+    centroid is already 0.  The translate is handed K's central symmetral,
+    which is exactly its own since cs(K + v) = cs(K), and with it every memo
+    of the symmetral (polar, minima)."""
+    K = as_body(K)
+    if K._centered is None:
+        c = core.centroid(K.polygon)
+        if c.is_zero():
+            K._centered = K
+        else:
+            Kc = translate(K, -c)
+            Kc._symmetral = central_symmetral(K)
+            K._centered = Kc
+    return K._centered
 
 
 def scale(K, r) -> Body:

@@ -23,10 +23,7 @@ def body_to_json(K: Body) -> dict:
             "dim": K.dim,
         }
     if K.is_planar:
-        return {
-            "type": "vpoly",
-            "vertices": [[rat_str(v.x), rat_str(v.y)] for v in K.polygon.vertices],
-        }
+        return vertices_json(K)
     h = K._hrep
     return {
         "type": "hpoly",

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .body import Body, as_body, apply_transform, central_symmetral, gauge, \
-    is_symmetric, polar, scale, support, translate, Transform2
+from .body import Body, as_body, apply_transform, centered, \
+    central_symmetral, gauge, is_symmetric, polar, scale, support, Transform2
 from .core import E1, E2, Vec2, centroid, rat_str, vec
 from .errors import InternalInvariantViolation, NotNormalized, OriginNotInterior
 
@@ -32,13 +32,17 @@ class MinimaCert:
 
     Every integral z outside the box |z_j| <= search_radius * extents[j]
     satisfies gauge(z) > search_radius >= lambdas[-1], so the enumeration
-    that produced the witnesses was complete.
+    that produced the witnesses was complete.  `short_vectors` keeps what
+    that enumeration found: every (z, gauge(z)) with gauge(z) <= lambda_2,
+    in witness_key order, so later consumers filter it instead of walking
+    the lattice again.
     """
 
     lambdas: tuple  # (lambda_1, lambda_2), nondecreasing
     witnesses: tuple  # integral Vec2, linearly independent
     search_radius: Fraction
     extents: tuple  # per-coordinate max |x_j| over the body
+    short_vectors: tuple  # ((z, gauge), ...) with gauge <= lambda_2
 
     def to_json(self) -> dict:
         return {
@@ -62,13 +66,12 @@ def _extents(K: Body):
             max(support(K, E2), support(K, -E2)))
 
 
-def _box_points(radius: Fraction, extents, lower_bound_cap=None):
+def _box_points(radius: Fraction, extents, cap):
     """Lattice points of the certificate box in square rings of increasing
     side, skipping points whose gauge lower bound max(|z_j|/extent_j)
-    already exceeds the cap."""
+    already exceeds cap()."""
     m1 = math.floor(radius * extents[0])
     m2 = math.floor(radius * extents[1])
-    cap = lower_bound_cap if lower_bound_cap is not None else (lambda: radius)
     for ring in range(1, max(m1, m2) + 1):
         if ring > cap() * max(extents):
             return  # every later point has gauge above the cap
@@ -90,13 +93,14 @@ def _primitive_direction(z: Vec2):
 def successive_minima(K) -> MinimaCert:
     """Exact lambda_1 <= lambda_2 with witnesses, deterministic tie-breaking.
 
-    The initial radius is the best candidate bound on lambda_2: among the
+    The search radius is the best candidate bound on lambda_2: among the
     pairwise independent directions e1, e2, (1,1), (1,-1) the second
-    smallest sign-minimized gauge dominates lambda_2.  Enumeration runs in
-    growing square rings and prunes with the running lambda_2 upper bound,
-    which is maintained through the two cheapest points on distinct lines;
-    pruned points have gauge above the final lambda_2, so the witness
-    selection is unaffected.  The doubling loop is a safety net only.
+    smallest sign-minimized gauge dominates lambda_2, and those two points
+    lie in the box.  One pass enumerates the box in growing square rings and
+    prunes with the running lambda_2 upper bound, the larger gauge of the
+    two cheapest points on distinct lines.  That bound never drops below
+    lambda_2, so every lattice point of gauge <= lambda_2 is visited; they
+    are kept, in witness_key order, as the certificate's short vectors.
 
     The certificate is stored on the body and returned by every later call,
     so each body is enumerated at most once.
@@ -111,56 +115,44 @@ def _certify(K: Body) -> MinimaCert:
     ext = _extents(K)
     seeds = sorted(min(gauge(K, u), gauge(K, -u))
                    for u in (E1, E2, vec(1, 1), vec(1, -1)))
-    radius = seeds[1]
-    while True:
-        best = {}  # primitive direction -> smallest gauge on that line
-        running = [radius]
-
-        def bound():
-            return running[0]
-
-        entries = []
-        for z in _box_points(radius, ext, bound):
-            g = gauge(K, z)
-            if g > radius:
-                continue
-            entries.append((witness_key(z, g), z, g))
-            d = _primitive_direction(z)
-            if g < best.get(d, g + 1):
-                best[d] = g
-                if len(best) >= 2:
-                    two = sorted(best.values())[:2]
-                    running[0] = min(running[0], two[1])
-        entries.sort()
-        if entries:
-            _, w1, l1 = entries[0]
-            for _, z, g in entries[1:]:
-                if w1.cross(z) != 0:
-                    return MinimaCert((l1, g), (w1, z), radius, ext)
-        radius *= 2  # unreachable for valid input; keeps termination obvious
-
-
-def _attaining(K: Body, cert: MinimaCert, value: Fraction):
-    pts = [z for z in _box_points(cert.search_radius, cert.extents,
-                                  lambda: value)
-           if gauge(K, z) == value]
-    return sorted(pts, key=lambda z: witness_key(z, value))
+    radius = bound = seeds[1]
+    best = {}  # primitive direction -> smallest gauge on that line
+    entries = []
+    for z in _box_points(radius, ext, lambda: bound):
+        g = gauge(K, z)
+        if g > radius:
+            continue
+        entries.append((witness_key(z, g), z, g))
+        d = _primitive_direction(z)
+        if g < best.get(d, g + 1):
+            best[d] = g
+            if len(best) >= 2:
+                bound = min(bound, sorted(best.values())[1])
+    entries.sort()
+    if entries:
+        _, w1, l1 = entries[0]
+        for _, z, l2 in entries[1:]:
+            if w1.cross(z) != 0:
+                short = tuple((v, g) for _, v, g in entries if g <= l2)
+                return MinimaCert((l1, l2), (w1, z), radius, ext, short)
+    raise InternalInvariantViolation("certificate box holds no independent pair")
 
 
 def minima_basis(Ksym) -> MinimaBasis:
     """Basis of Z² attaining both minima of an origin-symmetric planar body.
 
-    Scans all (lambda_1-attaining, lambda_2-attaining) pairs in deterministic
-    order; in the plane such a unimodular pair always exists, so failure is an
-    internal error rather than bad input.
+    Scans all (lambda_1-attaining, lambda_2-attaining) pairs of the
+    certificate's short vectors in witness_key order; in the plane such a
+    unimodular pair always exists, so failure is an internal error rather
+    than bad input.
     """
     K = as_body(Ksym)
     if not is_symmetric(K):
         raise ValueError("minima_basis requires an origin-symmetric body")
     cert = successive_minima(K)
     l1, l2 = cert.lambdas
-    first = _attaining(K, cert, l1)
-    second = first if l1 == l2 else _attaining(K, cert, l2)
+    first = [z for z, g in cert.short_vectors if g == l1]
+    second = [z for z, g in cert.short_vectors if g == l2]
     for z1 in first:
         for z2 in second:
             if abs(z1.cross(z2)) == 1:
@@ -190,12 +182,12 @@ def normalize_to_At(K) -> AtNormalForm:
     """
     K = as_body(K)
     c = centroid(K.polygon)
-    K0 = translate(K, -c)
+    K0 = centered(K)
     if not K0.contains_origin("open"):
         raise OriginNotInterior("centroid translation did not give interior origin")
     dual = polar(central_symmetral(K0))
     basis = minima_basis(dual)
-    l1, l2 = gauge(dual, basis.z1), gauge(dual, basis.z2)
+    l1, l2 = successive_minima(dual).lambdas
     U = Transform2(((basis.z1.x, basis.z1.y), (basis.z2.x, basis.z2.y)),
                    translation=vec(0, 0))
     # fold the centroid shift into the returned transform: T(x) = U(x - c)
@@ -212,10 +204,11 @@ def normalize_to_At(K) -> AtNormalForm:
 def contact_set(K):
     """C0 and C of a body in A(t) position.
 
-    C0 collects the lattice points at symmetral-polar gauge exactly 1 plus
-    +-e1; C radially projects each onto the boundary of K°, i.e. divides by
-    the K°-gauge.  Raises NotNormalized unless lambda_2 = 1 is attained at e2
-    and lambda_1 at e1.
+    C0 collects the lattice points at symmetral-polar gauge exactly 1, read
+    off the minima certificate's short vectors (lambda_2 = 1, so the list
+    holds all of them), plus +-e1; C radially projects each onto the
+    boundary of K°, i.e. divides by the K°-gauge.  Raises NotNormalized
+    unless lambda_2 = 1 is attained at e2 and lambda_1 at e1.
     """
     K = as_body(K)
     if not K.contains_origin("open"):
@@ -225,9 +218,7 @@ def contact_set(K):
     l1, l2 = cert.lambdas
     if l2 != 1 or gauge(dual, E2) != 1 or gauge(dual, E1) != l1:
         raise NotNormalized("body is not in A(t) position")
-    pts = {z for z in _box_points(cert.search_radius, cert.extents,
-                                  lambda: Fraction(1))
-           if gauge(dual, z) == 1}
+    pts = {z for z, g in cert.short_vectors if g == 1}
     pts.update((E1, -E1))
     c0 = tuple(sorted(pts, key=lambda z: (z.x, z.y)))
     c = tuple(z * (1 / support(K, z)) for z in c0)

@@ -3,7 +3,7 @@
 A(t) is the set of planar bodies with interior origin whose symmetral-polar
 minima are (1/t, 1), attained at e1 and e2.  The search state is the primal
 polygon's vertex list; dual edges come from the memoized polar, and each
-candidate computes its contact map once.
+candidate reads its contact map off its minima certificate once.
 Three moves are used, all solved exactly over a finite constraint set and
 re-certified from scratch afterwards:
 
@@ -31,12 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .body import Body, as_body, apply_transform, central_symmetral, gauge, \
-    polar, support, translate, Transform2
-from .core import E1, E2, centroid, rat, vec
+from .body import Body, as_body, apply_transform, centered, \
+    central_symmetral, gauge, polar, Transform2
+from .core import E1, E2, rat, vec
 from .errors import BadParams, DegenerateInput, GeometryError, \
     InternalInvariantViolation, NoFeasibleStart, NoSlackEdge, NotRotatable
-from .minima import MinimaCert, normalize_to_At, successive_minima
+from .minima import MinimaCert, contact_set, normalize_to_At, \
+    successive_minima
 
 _MAX_AUGMENT = 16
 
@@ -60,19 +61,16 @@ class Candidate:
     @cached_property
     def contacts_by_edge(self) -> dict:
         """For each primal vertex index, the contact points of C(K) lying in
-        the relative interior of its dual edge (= lattice points whose
-        support is attained at that vertex only)."""
-        body = self.body
-        vs = body.polygon.vertices
-        dual = polar(central_symmetral(body))
-        reps = [z for z in _constraint_reps(self) if gauge(dual, z) == 1]
-        pts = reps + [-z for z in reps] + [E1, -E1]
+        the relative interior of its dual edge.  The contact points come from
+        `contact_set`, which reads them off the minima certificate; p lies
+        inside the dual edge of vertex i iff i is the only vertex with
+        <v_i, p> = 1.  Raises NotNormalized for an infeasible candidate."""
+        vs = self.body.polygon.vertices
         by_edge = {i: set() for i in range(len(vs))}
-        for z in pts:
-            h = support(body, z)
-            argmax = [i for i, v in enumerate(vs) if v.dot(z) == h]
-            if len(argmax) == 1:
-                by_edge[argmax[0]].add(z * (1 / h))
+        for p in contact_set(self.body)[1]:
+            on = [i for i, v in enumerate(vs) if v.dot(p) == 1]
+            if len(on) == 1:
+                by_edge[on[0]].add(p)
         return {i: frozenset(c) for i, c in by_edge.items()}
 
 
@@ -104,8 +102,7 @@ def feasible(K, t):
 def make_candidate(K, t) -> Candidate:
     """Re-center at the centroid (harmless: every A(t) constraint is
     translation invariant) and certify."""
-    K = as_body(K)
-    K = translate(K, -centroid(K.polygon))
+    K = centered(K)
     ok, cert = feasible(K, t)
     return Candidate(K, rat(t), ok, cert, K.volume())
 
@@ -185,11 +182,6 @@ def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
     return _FAR
 
 
-def _contact_points_by_edge(cand: Candidate):
-    """The candidate's contact map, computed once per candidate."""
-    return cand.contacts_by_edge
-
-
 def _lattice_constraints(cand: Candidate, extra=()):
     """(z, bound, equality) triples: the two witness equalities plus the
     gauge >= 1 constraints for every off-axis representative."""
@@ -224,9 +216,10 @@ def edge_push(cand: Candidate) -> Candidate:
     origin until a new contact constraint becomes tight.
 
     Raises NoSlackEdge when the relative interior of every dual edge already
-    carries a contact point."""
+    carries a contact point, and NotNormalized (from `contact_set`) for an
+    infeasible candidate."""
     vs = cand.body.polygon.vertices
-    contacts = _contact_points_by_edge(cand)
+    contacts = cand.contacts_by_edge
     slack = [i for i in range(len(vs)) if not contacts[i]]
     if not slack:
         raise NoSlackEdge("every dual edge carries a contact point")
@@ -276,7 +269,7 @@ def _combinatorial_taus(vs, i, w):
 
 def rotatable_contact(cand: Candidate, edge_index: int):
     """The single interior contact of the dual edge, or None."""
-    contacts = _contact_points_by_edge(cand).get(edge_index, frozenset())
+    contacts = cand.contacts_by_edge.get(edge_index, frozenset())
     if len(contacts) != 1:
         return None
     return next(iter(contacts))
@@ -291,11 +284,12 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
     The volume is linear along the slide and must not increase in the
     requested direction.  Returns the input unchanged when the first
     constraint is tight already at tau = 0.  With explain=True the result is
-    (candidate, stop_reason), naming the constraint that ended the move."""
+    (candidate, stop_reason), naming the constraint that ended the move.
+    An infeasible candidate raises NotNormalized (from `contact_set`)."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     vs = cand.body.polygon.vertices
-    contacts = _contact_points_by_edge(cand).get(edge_index, frozenset())
+    contacts = cand.contacts_by_edge.get(edge_index, frozenset())
     if len(contacts) != 1:
         raise NotRotatable(
             "dual edge must contain exactly one contact point in its relative interior")
@@ -349,7 +343,7 @@ def balance_triangle(cand: Candidate):
     vs = cand.body.polygon.vertices
     if len(vs) != 3:
         return None
-    contacts = _contact_points_by_edge(cand)
+    contacts = cand.contacts_by_edge
     if not all(len(contacts[i]) >= 2 for i in range(3)):
         return None
     ti = 1 / cand.t

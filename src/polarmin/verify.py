@@ -30,8 +30,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .body import Body, as_body, central_symmetral, is_symmetric, polar, \
-    translate
+from .body import Body, as_body, centered, central_symmetral, is_symmetric, \
+    polar
 from .core import E1, E2, Vec2, area, centroid, clip_halfplane, convex_hull, \
     rat, rat_str, translate_poly, vec
 from .errors import DegenerateInput, OriginNotInterior, ZeroNormal
@@ -84,12 +84,8 @@ def _report(check_id, lhs, rhs, relation, exact=True, meta=None) -> Report:
                   exact and slack == 0, slack, exact, meta or {})
 
 
-def _centered(K: Body) -> Body:
-    return translate(K, -centroid(K.polygon))
-
-
 def _origin_interior_rep(K: Body) -> Body:
-    return K if K.contains_origin("open") else _centered(K)
+    return K if K.contains_origin("open") else centered(K)
 
 
 def _lam(K: Body):
@@ -128,8 +124,7 @@ def check_upper_centered(K) -> Report:
     internally; the applied shift is recorded in the report)."""
     K = as_body(K)
     c = centroid(K.polygon)
-    Kc = K if c.is_zero() else translate(K, -c)
-    l1, l2 = _lam(polar(Kc))
+    l1, l2 = _lam(polar(centered(K)))
     meta = {} if c.is_zero() else {"translated_by": f"({rat_str(-c.x)}, {rat_str(-c.y)})"}
     return _report("eq_1_11", K.volume(), Fraction(9, 2) * l1 * l2, "le", meta=meta)
 
@@ -152,8 +147,7 @@ def check_grunbaum(K, a: Vec2) -> Report:
     constant (n/(n+1))^n = 4/9 valid for every nonzero normal."""
     if a.is_zero():
         raise ZeroNormal("halfspace normal must be nonzero")
-    K = as_body(K)
-    poly = translate_poly(K.polygon, -centroid(K.polygon))
+    poly = centered(K).polygon
     clipped = clip_halfplane(poly, -a, 0)
     lhs = area(clipped) if clipped is not None else Fraction(0)
     meta = {"normal": f"({rat_str(a.x)}, {rat_str(a.y)})"}

@@ -5,6 +5,7 @@ edge-normal gauge, brute-force enumeration for the minima) so they do not
 share code paths with the library they check.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -50,6 +51,60 @@ def brute_minima(ccw_vertices, box: int):
     lam1, z1 = gauged[0]
     lam2 = min(g for g, z in gauged if z1[0] * z[1] - z1[1] * z[0] != 0)
     return lam1, lam2
+
+
+def short_vectors(ccw_vertices, bound):
+    """Every nonzero lattice point (p, q) with edge_gauge <= bound, as
+    ((p, q), gauge) pairs in no particular order.  The full box
+    |p| <= bound * X, |q| <= bound * Y is enumerated, where X and Y are the
+    largest |x| and |y| over the vertices: a point outside it has gauge
+    above the bound."""
+    X = max(abs(Fraction(v[0])) for v in ccw_vertices)
+    Y = max(abs(Fraction(v[1])) for v in ccw_vertices)
+    mx, my = math.floor(bound * X), math.floor(bound * Y)
+    out = []
+    for p in range(-mx, mx + 1):
+        for q in range(-my, my + 1):
+            if p or q:
+                g = edge_gauge(ccw_vertices, (p, q))
+                if g <= bound:
+                    out.append(((p, q), g))
+    return out
+
+
+def contact_points(ccw_vertices):
+    """(C0, C, by_vertex) of a polygon in A(t) position, from its vertices
+    alone through the support function h(z) = max <v, z>.
+
+    C0 is every lattice z with (h(z) + h(-z)) / 2 = 1, i.e. gauge 1 in the
+    symmetral's polar, plus +-e1, sorted by (x, y); C is z / h(z) for each.
+    by_vertex maps each vertex index i to the points z / h(z) whose support
+    is attained at vertex i only.  The box is bounded by the extents of the
+    symmetral's polar, read off the edges of the pairwise symmetral."""
+    vs = [(Fraction(x), Fraction(y)) for x, y in ccw_vertices]
+
+    def h(z):
+        return max(x * z[0] + y * z[1] for x, y in vs)
+
+    sym = pairwise_symmetral(vs)
+    X = Y = Fraction(0)
+    for i, (x0, y0) in enumerate(sym):
+        x1, y1 = sym[(i + 1) % len(sym)]
+        nx, ny = y1 - y0, x0 - x1
+        c = nx * x0 + ny * y0
+        X, Y = max(X, abs(nx / c)), max(Y, abs(ny / c))
+    c0 = {(p, q)
+          for p in range(-math.floor(X), math.floor(X) + 1)
+          for q in range(-math.floor(Y), math.floor(Y) + 1)
+          if (p or q) and h((p, q)) + h((-p, -q)) == 2}
+    c0 = sorted(c0 | {(1, 0), (-1, 0)})
+    c = [(p / h((p, q)), q / h((p, q))) for p, q in c0]
+    by_vertex = {i: set() for i in range(len(vs))}
+    for z, point in zip(c0, c):
+        top = [i for i, (x, y) in enumerate(vs) if x * z[0] + y * z[1] == h(z)]
+        if len(top) == 1:
+            by_vertex[top[0]].add(point)
+    return c0, c, by_vertex
 
 
 def _hull(points):

@@ -16,7 +16,6 @@ from click.testing import CliRunner
 import polarmin as pm
 from polarmin import FamilySpec, vec
 from polarmin.cli import main as cli_main
-from polarmin.search import _contact_points_by_edge
 from polarmin.verify import random_normals, standard_checks
 
 MICRO = F(1, 10**6)
@@ -194,7 +193,7 @@ def test_criterion_11_search(t):
     assert res.converged_seeds >= 1
     # the best candidate is a triangle whose dual edges carry two contacts
     assert len(res.best.body.polygon.vertices) == 3
-    by_edge = _contact_points_by_edge(res.best)
+    by_edge = res.best.contacts_by_edge
     assert all(len(v) == 2 for v in by_edge.values())
     assert elapsed <= 120
     _pass("11", f"(t={t}: best={res.best.volume}, gap={res.best.volume - res.target}, "

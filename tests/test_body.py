@@ -256,6 +256,22 @@ class TestEqualityGaugeBiconditional:
         assert checked_equal > 0  # the equality branch was actually exercised
 
 
+class TestCentered:
+    def test_centroid_zero_body_is_returned_as_is(self):
+        K = pm.random_bodies(3, 1)[0]
+        assert pm.centered(K) is K
+
+    def test_translate_is_memoized_and_shares_the_symmetral(self):
+        K = pm.random_bodies(3, 1)[0]
+        moved = pm.translate(K, vec(5, F(-2, 3)))
+        Kc = pm.centered(moved)
+        assert Kc is pm.centered(moved) and pm.centered(Kc) is Kc
+        assert Kc.polygon == K.polygon
+        assert pm.central_symmetral(Kc) is pm.central_symmetral(moved)
+        assert pm.central_symmetral(Kc).polygon == \
+            pm.central_symmetral(pm.Body(poly=Kc.polygon)).polygon
+
+
 class TestBodyEquality:
     def test_non_planar_bodies_compare_by_dim_family_and_hrep(self):
         cube3 = pm.make(pm.FamilySpec("cube", {}, 3))

@@ -2,17 +2,21 @@
 
 The bodies are corpus polygons, rational n-gons with up to 48 vertices
 (points on the rational parametrization of the unit circle, stretched and
-moved to their centroid) and unimodular shears of corpus polygons.
+moved to their centroid) and unimodular shears of corpus polygons.  The
+contact maps are checked on feasible search candidates.
 """
 
+import random
 from fractions import Fraction as F
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import polarmin as pm
 from polarmin import Body, HPolytope, vec
+from polarmin.minima import witness_key
+from polarmin.search import sample_feasible
 
-from oracles import pairwise_symmetral
+from oracles import contact_points, pairwise_symmetral, short_vectors
 
 CORPUS = pm.random_bodies(11, 40)
 
@@ -69,3 +73,32 @@ def test_memoized_minima_match_fresh_body(K):
         first = pm.successive_minima(D)
         assert pm.successive_minima(D) is first
         assert pm.successive_minima(Body(poly=D.polygon)) == first
+
+
+@given(bodies)
+def test_short_vectors_match_full_box_enumeration(K):
+    fresh = Body(poly=K.polygon)
+    for D in (pm.polar(pm.central_symmetral(fresh)), pm.polar(fresh)):
+        cert = pm.successive_minima(D)
+        l1, l2 = cert.lambdas
+        expected = sorted(short_vectors(_tuples(D), l2),
+                          key=lambda e: witness_key(vec(*e[0]), e[1]))
+        assert [((z.x, z.y), g) for z, g in cert.short_vectors] == expected
+        # the oracle's list alone determines both minima
+        (p1, q1), g1 = expected[0]
+        assert g1 == l1
+        assert min(g for (p, q), g in expected if p1 * q - q1 * p) == l2
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10**6), st.sampled_from([F(1), F(3, 2), F(2)]))
+def test_contact_maps_match_vertex_oracle(seed, t):
+    start = sample_feasible(random.Random(seed), t)
+    assume(start is not None)
+    for cand in (start, pm.descend(start, 3)[0]):
+        c0, c, by_vertex = contact_points(_tuples(cand.body))
+        got0, got = pm.contact_set(cand.body)
+        assert [(z.x, z.y) for z in got0] == c0
+        assert [(p.x, p.y) for p in got] == c
+        assert {i: {(p.x, p.y) for p in ps}
+                for i, ps in cand.contacts_by_edge.items()} == by_vertex

@@ -5,7 +5,7 @@ import pytest
 
 import polarmin as pm
 from polarmin import Body, FamilySpec, NoFeasibleStart, NoSlackEdge, NotRotatable, vec
-from polarmin.search import _contact_points_by_edge, sample_feasible
+from polarmin.search import sample_feasible
 
 T11 = pm.make(FamilySpec("T_st", {"s": 1, "t": 1}))
 SQUARE = pm.make(FamilySpec("cube"))
@@ -85,7 +85,7 @@ class TestEdgeRotate:
     def test_minimizer_not_rotatable(self):
         # every dual edge of the optimal triangle carries two contact points
         cand = minimizer_candidate(2)
-        by_edge = _contact_points_by_edge(cand)
+        by_edge = cand.contacts_by_edge
         assert all(len(v) == 2 for v in by_edge.values())
         for i in range(3):
             with pytest.raises(NotRotatable):
@@ -103,7 +103,7 @@ class TestEdgeRotate:
             if cand is None:
                 continue
             for i in range(len(cand.body.polygon.vertices)):
-                contacts = _contact_points_by_edge(cand)[i]
+                contacts = cand.contacts_by_edge[i]
                 if len(contacts) != 1:
                     continue
                 u = next(iter(contacts))
@@ -132,7 +132,7 @@ class TestEdgeRotate:
             if cand is None:
                 continue
             for i in range(len(cand.body.polygon.vertices)):
-                contacts = _contact_points_by_edge(cand)[i]
+                contacts = cand.contacts_by_edge[i]
                 if len(contacts) != 1:
                     continue
                 u = next(iter(contacts))
@@ -196,7 +196,7 @@ class TestMultiStart:
 
     def test_contact_structure_at_convergence(self):
         res = pm.multi_start(2, range(6), 100)
-        by_edge = _contact_points_by_edge(res.best)
+        by_edge = res.best.contacts_by_edge
         # converged minimizer: a triangle, two contact points per dual edge
         assert len(res.best.body.polygon.vertices) == 3
         assert all(len(v) == 2 for v in by_edge.values())
@@ -217,7 +217,7 @@ class TestFlatStall:
         assert cand.feasible and cand.volume == 2
         with pytest.raises(NoSlackEdge):
             pm.edge_push(cand)
-        by_edge = _contact_points_by_edge(cand)
+        by_edge = cand.contacts_by_edge
         vs = cand.body.polygon.vertices
         for i in range(3):
             assert len(by_edge[i]) == 1
@@ -252,7 +252,7 @@ class TestMoveFuzz:
                     elif choice == 1:
                         vs = cand.body.polygon.vertices
                         i = rng.randrange(len(vs))
-                        contacts = _contact_points_by_edge(cand)[i]
+                        contacts = cand.contacts_by_edge[i]
                         if len(contacts) != 1:
                             continue
                         u = next(iter(contacts))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import polarmin as pm
-from polarmin import FamilySpec, OriginNotInterior, ZeroNormal, vec
+from polarmin import FamilySpec, OriginNotInterior, ZeroNormal, minima, vec
 from polarmin.verify import PI_LOWER, THEOREM_CHECKS, builtin_family_grid, \
     random_normals, standard_checks
 
@@ -180,6 +180,18 @@ class TestSuiteInvariants:
         for K in corpus60:
             for rep in standard_checks(K, normals):
                 assert rep.holds, (rep, pm.body_to_json(K))
+
+    def test_shifted_body_certifies_each_polygon_once(self, monkeypatch, corpus60):
+        # cs(K), cs(K)° and (K - centroid)° are the only polygons whose
+        # minima the checks need, however often each check re-centers K
+        calls = []
+        certify = minima._certify
+        monkeypatch.setattr(minima, "_certify",
+                            lambda K: calls.append(K.polygon) or certify(K))
+        shifted = pm.translate(corpus60[0], vec(5, 0))
+        assert not shifted.contains_origin("open")
+        standard_checks(shifted, random_normals("shift", 20))
+        assert len(calls) == len(set(calls)) == 3
 
     def test_rational_checks_are_exact(self):
         for rep in standard_checks(T23, [pm.E1]):
