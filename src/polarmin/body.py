@@ -5,7 +5,11 @@ only closed-form data is available.  Every derived quantity has one
 linear-time, hull-free code path and is computed at most once per body:
 
   * the polar's vertices are read off the edges of K (the edge <n, x> = c
-    dualizes to the vertex n/c), so gauge and polar share one memo;
+    dualizes to the vertex w = n/c); polar reads them as points, and gauge
+    reads the same directions as integer rows (a, b) = D * w over their
+    common denominator D, so a gauge is integer multiply-adds;
+  * whether the origin is interior, which the polar, the search and the
+    checks all ask;
   * the central symmetral is the Minkowski sum (K + (-K))/2, built by
     merging the two angle-sorted edge sequences;
   * successive minima are stored on the body by `minima.successive_minima`;
@@ -17,6 +21,7 @@ The memos live in the body's slots and are freed with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,13 +35,15 @@ class Body:
 
     `family` keeps provenance as (name, params dict) when the body was built
     by a family constructor.  All values are immutable after construction;
-    each memo (polar directions, polar, symmetral, minima certificate,
-    centroid translate) is populated at most once, so concurrent readers
-    always observe a single consistent value.
+    each memo (interior origin, polar directions and their integer rows,
+    polar, symmetral, minima certificate, centroid translate) is populated
+    at most once, so concurrent readers always observe a single consistent
+    value.
     """
 
-    __slots__ = ("dim", "family", "_poly", "_hrep", "_polar_dirs", "_polar",
-                 "_symmetral", "_minima", "_centered")
+    __slots__ = ("dim", "family", "_poly", "_hrep", "_origin_open",
+                 "_polar_dirs", "_gauge_rows", "_polar", "_symmetral",
+                 "_minima", "_centered")
 
     def __init__(self, poly: VPolygon | None = None, hrep: HPolytope | None = None,
                  family=None, dim: int = 2):
@@ -44,7 +51,9 @@ class Body:
         self._hrep = hrep
         self.family = family
         self.dim = dim
+        self._origin_open = None
         self._polar_dirs = None
+        self._gauge_rows = None
         self._polar = None
         self._symmetral = None
         self._minima = None
@@ -78,7 +87,12 @@ class Body:
         return core.area(self.polygon)
 
     def contains_origin(self, mode: str = "open") -> bool:
-        return core.contains(self.polygon, core.ORIGIN, mode)
+        """Whether the origin lies in the body; the open test is memoized."""
+        if mode != "open":
+            return core.contains(self.polygon, core.ORIGIN, mode)
+        if self._origin_open is None:
+            self._origin_open = core.contains(self.polygon, core.ORIGIN, mode)
+        return self._origin_open
 
     def _key(self):
         """The polygon when planar; otherwise (dim, family, H-representation),
@@ -122,22 +136,45 @@ def support(K, u: Vec2) -> Fraction:
 def _polar_dirs(K: Body) -> tuple:
     # Vertices of the polar body, one per edge of K, in edge order but
     # without hull work: the edge {<n,x> = c} of K dualizes to the point n/c.
+    # The same directions are kept as integer rows for gauge.
     if K._polar_dirs is None:
         if not K.contains_origin("open"):
             raise OriginNotInterior("gauge/polar need the origin strictly inside")
-        K._polar_dirs = tuple(n * (1 / c) for n, c in core.edge_halfplanes(K.polygon))
+        dirs = tuple(n * (1 / c) for n, c in core.edge_halfplanes(K.polygon))
+        D = math.lcm(*(c.denominator for w in dirs for c in (w.x, w.y)))
+        K._gauge_rows = (tuple((w.x.numerator * (D // w.x.denominator),
+                                w.y.numerator * (D // w.y.denominator))
+                               for w in dirs), D)
+        K._polar_dirs = dirs
     return K._polar_dirs
+
+
+def gauge_rows(K) -> tuple:
+    """(rows, D): the polar directions w_i of K as integer rows
+    (a_i, b_i) = D * w_i, D the least common denominator; memoized."""
+    K = as_body(K)
+    _polar_dirs(K)
+    return K._gauge_rows
+
+
+_ZERO = Fraction(0)
 
 
 def gauge(K, x: Vec2) -> Fraction:
     """Minkowski functional ||x||_K = min{t >= 0 : x in tK}.
 
-    Equals the support function of the polar body; evaluated against the
-    memoized polar vertex directions, which is exact and hull-free.
+    Equals the support function of the polar body, max <x, w_i> over the
+    memoized polar directions.  Writing x = (P, Q)/L in lowest terms, that
+    is max(a_i P + b_i Q)/(D L) over the integer rows of `gauge_rows`, so a
+    call does integer multiply-adds and builds one Fraction.
     """
-    K = as_body(K)
-    g = max(x.dot(w) for w in _polar_dirs(K))
-    return g if g > 0 else Fraction(0)
+    rows, D = gauge_rows(K)
+    px, py = x.x, x.y
+    L = math.lcm(px.denominator, py.denominator)
+    P = px.numerator * (L // px.denominator)
+    Q = py.numerator * (L // py.denominator)
+    g = max(a * P + b * Q for a, b in rows)
+    return Fraction(g, D * L) if g > 0 else _ZERO
 
 
 def polar(K) -> Body:
@@ -156,11 +193,6 @@ def polar(K) -> Body:
     return K._polar
 
 
-def _angle_half(d: Vec2) -> int:
-    # 0 for directions with angle in [0, pi), 1 for [pi, 2 pi).
-    return 0 if d.y > 0 or (d.y == 0 and d.x > 0) else 1
-
-
 def central_symmetral(K) -> Body:
     """cs(K) = (K + (-K))/2, the Minkowski sum of K and its reflection.
 
@@ -176,7 +208,7 @@ def central_symmetral(K) -> Body:
         vs = K.polygon.vertices
         n = len(vs)
         edges = [vs[(k + 1) % n] - vs[k] for k in range(n)]
-        halves = [_angle_half(e) for e in edges]
+        halves = [core.angle_half(e) for e in edges]
         # -K starts at the reflection of K's highest-then-rightmost vertex;
         # its edge after -v_j is -e_j, which lies in the other half.
         i = min(range(n), key=lambda k: (vs[k].y, vs[k].x))

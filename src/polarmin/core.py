@@ -151,12 +151,20 @@ def _validated_ccw(vs: tuple) -> tuple:
     for i in range(n):
         if orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
             raise DegenerateInput("vertices not in strictly convex CCW position")
-    # Local convexity admits multiply-wound lists; require agreement with
-    # the hull of the vertex set, which fixes both the set and the order.
-    hull = convex_hull(vs).vertices
-    if hull != _canonical_rotation(vs):
+    # Local convexity admits multiply-wound lists.  With every turn strictly
+    # left and below pi, the edge angle passes 0 once per winding, which is
+    # exactly where an edge in the upper half [pi, 2 pi) is followed by one
+    # in the lower half [0, pi); the list is the hull order iff that happens
+    # once.
+    halves = [angle_half(vs[(i + 1) % n] - vs[i]) for i in range(n)]
+    if sum(halves[i] > halves[(i + 1) % n] for i in range(n)) != 1:
         raise DegenerateInput("vertex list is not a convex hull ordering")
     return vs
+
+
+def angle_half(d: Vec2) -> int:
+    """0 for directions with angle in [0, pi), 1 for [pi, 2 pi)."""
+    return 0 if d.y > 0 or (d.y == 0 and d.x > 0) else 1
 
 
 def convex_hull(points: Iterable[Vec2]) -> VPolygon:

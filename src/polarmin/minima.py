@@ -3,6 +3,15 @@
 The enumeration is made complete by the bound gauge(z) >= |z_j| / extent_j,
 where extent_j is the body's maximal |x_j|: every lattice point outside the
 searched box therefore has gauge strictly above the certified radius.
+
+The minima are invariant under unimodular maps, so the box is walked in
+coordinates where it is small.  Z² is first reduced for the body by the
+generalized Gauss algorithm, with the integer polar rows of `gauge_rows`
+as the norm; the reduced basis B keeps the box of B⁻¹K within a
+multiple of lambda_2/lambda_1 on every shear, and what that walk finds is
+mapped back by B before it is sorted.  The radius and extents reported
+are those of the body's own box, whose completeness statement holds
+unchanged.
 """
 
 from __future__ import annotations
@@ -12,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .body import Body, as_body, apply_transform, centered, \
-    central_symmetral, gauge, is_symmetric, polar, scale, support, Transform2
-from .core import E1, E2, Vec2, centroid, rat_str, vec
+    central_symmetral, gauge, gauge_rows, is_symmetric, polar, scale, \
+    support, Transform2
+from .core import E1, E2, Vec2, VPolygon, centroid, rat_str, vec
 from .errors import InternalInvariantViolation, NotNormalized, OriginNotInterior
 
 
@@ -36,6 +46,13 @@ class MinimaCert:
     that enumeration found: every (z, gauge(z)) with gauge(z) <= lambda_2,
     in witness_key order, so later consumers filter it instead of walking
     the lattice again.
+
+    The box is a statement about the body in its own coordinates and holds
+    as stated; the enumeration itself ran over the unimodular image B⁻¹K,
+    where B, kept as `basis` (its columns b1, b2), is a Gauss-reduced basis
+    of Z² for the body, or (e1, e2) when the standard basis already is one.
+    Every coordinate above is in the original lattice basis; `to_json`
+    leaves `basis` out.
     """
 
     lambdas: tuple  # (lambda_1, lambda_2), nondecreasing
@@ -43,6 +60,7 @@ class MinimaCert:
     search_radius: Fraction
     extents: tuple  # per-coordinate max |x_j| over the body
     short_vectors: tuple  # ((z, gauge), ...) with gauge <= lambda_2
+    basis: tuple  # (b1, b2), integral Vec2 columns of B, det = +-1
 
     def to_json(self) -> dict:
         return {
@@ -96,11 +114,16 @@ def successive_minima(K) -> MinimaCert:
     The search radius is the best candidate bound on lambda_2: among the
     pairwise independent directions e1, e2, (1,1), (1,-1) the second
     smallest sign-minimized gauge dominates lambda_2, and those two points
-    lie in the box.  One pass enumerates the box in growing square rings and
+    lie in the box.  The box itself is enumerated in reduced coordinates:
+    Z² is Gauss-reduced for the norm max(gauge(z), gauge(-z)) to a basis B,
+    and the unimodular image B⁻¹K, whose gauge at y is the gauge of K at By,
+    has a certificate box bounded by lambda_2/lambda_1 however K is
+    sheared.  One pass enumerates that box in growing square rings and
     prunes with the running lambda_2 upper bound, the larger gauge of the
     two cheapest points on distinct lines.  That bound never drops below
-    lambda_2, so every lattice point of gauge <= lambda_2 is visited; they
-    are kept, in witness_key order, as the certificate's short vectors.
+    lambda_2, so every lattice point of gauge <= lambda_2 is visited; mapped
+    back by B, they are kept, in witness_key order, as the certificate's
+    short vectors.
 
     The certificate is stored on the body and returned by every later call,
     so each body is enumerated at most once.
@@ -111,30 +134,109 @@ def successive_minima(K) -> MinimaCert:
     return K._minima
 
 
-def _certify(K: Body) -> MinimaCert:
-    ext = _extents(K)
-    seeds = sorted(min(gauge(K, u), gauge(K, -u))
-                   for u in (E1, E2, vec(1, 1), vec(1, -1)))
-    radius = bound = seeds[1]
+_SEED_DIRS = (E1, E2, vec(1, 1), vec(1, -1))
+
+
+def _seed_gauges(K: Body):
+    """(gauge(u), gauge(-u)) for each seed direction u, in _SEED_DIRS order."""
+    return [(gauge(K, u), gauge(K, -u)) for u in _SEED_DIRS]
+
+
+def _radius(seeds):
+    return sorted(min(pair) for pair in seeds)[1]
+
+
+def _enumerate(K: Body, radius: Fraction, ext):
+    """Every lattice z of the certificate box with gauge(z) <= radius, as
+    (z, gauge) pairs; points pruned by the running lambda_2 bound have
+    gauge above lambda_2."""
+    bound = radius
     best = {}  # primitive direction -> smallest gauge on that line
-    entries = []
+    found = []
     for z in _box_points(radius, ext, lambda: bound):
         g = gauge(K, z)
         if g > radius:
             continue
-        entries.append((witness_key(z, g), z, g))
+        found.append((z, g))
         d = _primitive_direction(z)
         if g < best.get(d, g + 1):
             best[d] = g
             if len(best) >= 2:
                 bound = min(bound, sorted(best.values())[1])
-    entries.sort()
+    return found
+
+
+def _reduce_step(rows, b1, b2):
+    """(b2 - mu b1, N(b2 - mu b1)) for the integer mu minimizing the convex
+    N(z) = max_i |a_i z_1 + b_i z_2|: the least-squares estimate of mu over
+    the rows, then unit steps while N decreases."""
+    r1 = [a * b1[0] + b * b1[1] for a, b in rows]
+    r2 = [a * b2[0] + b * b2[1] for a, b in rows]
+    den = sum(x * x for x in r1)
+    mu = (2 * sum(x * y for x, y in zip(r1, r2)) + den) // (2 * den)
+
+    def N(m):
+        return max(abs(y - m * x) for x, y in zip(r1, r2))
+
+    here = N(mu)
+    step = 1 if N(mu + 1) < here else -1
+    while N(mu + step) < here:
+        mu += step
+        here = N(mu)
+    return (b2[0] - mu * b1[0], b2[1] - mu * b1[1]), here
+
+
+def _gauss_reduce(rows):
+    """Generalized Gauss reduction of Z² (Kaib and Schnorr, J. Algorithms
+    21, 1996) for the norm N(z) = max_i |a_i z_1 + b_i z_2|, which is D
+    times max(gauge(z), gauge(-z)) on the integer rows of `gauge_rows`:
+    columns b1, b2 of a unimodular B with N(b1) <= N(b2) <= N(b2 + mu b1)
+    for every integer mu."""
+    b1, b2 = (1, 0), (0, 1)
+    n1 = max(abs(a) for a, _ in rows)
+    while True:
+        b2, n2 = _reduce_step(rows, b1, b2)
+        if n2 >= n1:
+            return b1, b2
+        b1, b2, n1 = b2, b1, n2
+
+
+def _unimodular_image(K: Body, b1, b2) -> Body:
+    """B⁻¹K for the unimodular B with columns b1, b2; its gauge at y is
+    the gauge of K at By.  A map of determinant -1 reverses orientation, so
+    the vertex list is reversed to stay counterclockwise."""
+    det = b1[0] * b2[1] - b2[0] * b1[1]
+    vs = [vec(det * (b2[1] * v.x - b2[0] * v.y), det * (b1[0] * v.y - b1[1] * v.x))
+          for v in K.polygon.vertices]
+    if det < 0:
+        vs.reverse()
+    return Body(poly=VPolygon(vs, _trusted=True))
+
+
+def _certify(K: Body) -> MinimaCert:
+    ext = _extents(K)
+    seeds = _seed_gauges(K)
+    radius = _radius(seeds)
+    n1, n2, n11, n1m = (max(pair) for pair in seeds)
+    if max(n1, n2) <= min(n11, n1m):
+        basis = (E1, E2)  # the standard basis is already reduced
+        found = _enumerate(K, radius, ext)
+    else:
+        b1, b2 = _gauss_reduce(gauge_rows(K)[0])
+        basis = (vec(*b1), vec(*b2))
+        Kr = _unimodular_image(K, b1, b2)
+        (a, b), (c, d) = b1, b2
+        found = []
+        for y, g in _enumerate(Kr, _radius(_seed_gauges(Kr)), _extents(Kr)):
+            p, q = y.x.numerator, y.y.numerator
+            found.append((vec(a * p + c * q, b * p + d * q), g))
+    entries = sorted((witness_key(z, g), z, g) for z, g in found)
     if entries:
         _, w1, l1 = entries[0]
         for _, z, l2 in entries[1:]:
             if w1.cross(z) != 0:
                 short = tuple((v, g) for _, v, g in entries if g <= l2)
-                return MinimaCert((l1, l2), (w1, z), radius, ext, short)
+                return MinimaCert((l1, l2), (w1, z), radius, ext, short, basis)
     raise InternalInvariantViolation("certificate box holds no independent pair")
 
 

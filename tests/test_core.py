@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import polarmin as pm
 from polarmin import DegenerateInput, Empty, HPolytope, Unbounded, vec
 
-from oracles import shoelace
+from oracles import _hull, shoelace
 
 SQUARE = pm.convex_hull([vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)])
 T11 = pm.convex_hull([vec(-1, 0), vec(1, 1), vec(0, -1)])
@@ -64,6 +64,37 @@ class TestConvexHull:
     def test_vpolygon_rejects_misordered_vertices(self):
         with pytest.raises(DegenerateInput):
             pm.VPolygon([vec(0, 0), vec(0, 1), vec(1, 0)])  # clockwise
+
+    def test_vpolygon_rejects_multiply_wound_lists(self):
+        # every turn is strictly left, but the edges turn through 4 pi
+        pentagon = [vec(2, 0), vec(1, 2), vec(-2, 1), vec(-2, -1), vec(1, -2)]
+        heptagon = [vec(3, 0), vec(2, 2), vec(0, 3), vec(-2, 2), vec(-3, 0),
+                    vec(-2, -2), vec(1, -3)]
+        for stars in (pentagon[::2] + pentagon[1::2], heptagon[::2] + heptagon[1::2]):
+            with pytest.raises(DegenerateInput, match="not a convex hull ordering"):
+                pm.VPolygon(stars)
+        with pytest.raises(DegenerateInput):
+            pm.VPolygon(pentagon + pentagon)  # wound twice through the same vertices
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1,
+                    max_size=9), st.randoms(use_true_random=False))
+    def test_vpolygon_accepts_exactly_the_hull_orderings(self, pts, rnd):
+        hull = _hull(pts)
+        k = rnd.randrange(len(hull)) if hull else 0
+        rotated = hull[k:] + hull[:k]
+        shuffled = list(pts)
+        rnd.shuffle(shuffled)
+        for cand in (pts, shuffled, rotated, rotated[::-1], rotated + rotated[:1]):
+            ok = len(cand) >= 3 and len(set(cand)) == len(cand) \
+                and sorted(cand) == sorted(hull) \
+                and any(cand == hull[i:] + hull[:i] for i in range(len(hull)))
+            try:
+                got = pm.VPolygon([vec(x, y) for x, y in cand]).vertices
+            except DegenerateInput:
+                assert not ok, cand
+            else:
+                assert ok, cand
+                assert [(v.x, v.y) for v in got] == hull
 
 
 class TestHalfplaneIntersect:

@@ -2,8 +2,9 @@
 
 The bodies are corpus polygons, rational n-gons with up to 48 vertices
 (points on the rational parametrization of the unit circle, stretched and
-moved to their centroid) and unimodular shears of corpus polygons.  The
-contact maps are checked on feasible search candidates.
+moved to their centroid) and unimodular shears of corpus polygons; the
+minima are also checked on products of shears, swaps and signs of those.
+The contact maps are checked on feasible search candidates.
 """
 
 import random
@@ -16,7 +17,8 @@ from polarmin import Body, HPolytope, vec
 from polarmin.minima import witness_key
 from polarmin.search import sample_feasible
 
-from oracles import contact_points, pairwise_symmetral, short_vectors
+from oracles import contact_points, edge_gauge, pairwise_symmetral, short_vectors
+from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
 
@@ -48,6 +50,7 @@ def shears(draw):
 
 
 bodies = st.one_of(st.sampled_from(CORPUS), ngons(), shears())
+unimodular = st.integers(0, 2**32).map(lambda seed: random_unimodular(random.Random(seed)))
 
 
 def _tuples(K):
@@ -88,6 +91,36 @@ def test_short_vectors_match_full_box_enumeration(K):
         (p1, q1), g1 = expected[0]
         assert g1 == l1
         assert min(g for (p, q), g in expected if p1 * q - q1 * p) == l2
+
+
+@given(bodies, unimodular)
+def test_minima_of_unimodular_images_match_full_box_enumeration(K, T):
+    base = Body(poly=K.polygon)
+    image = pm.apply_transform(T, base)
+    for f in (pm.central_symmetral, lambda B: pm.polar(pm.central_symmetral(B)), pm.polar):
+        D = f(image)
+        cert = pm.successive_minima(D)
+        assert cert.lambdas == pm.successive_minima(f(base)).lambdas
+        b1, b2 = cert.basis
+        assert abs(b1.cross(b2)) == 1 and b1.is_integral() and b2.is_integral()
+        expected = sorted(short_vectors(_tuples(D), cert.lambdas[1]),
+                          key=lambda e: witness_key(vec(*e[0]), e[1]))
+        assert [((z.x, z.y), g) for z, g in cert.short_vectors] == expected
+        (p1, q1), _ = expected[0]
+        w2 = next(z for z, _ in expected if p1 * z[1] - q1 * z[0])
+        assert [(w.x, w.y) for w in cert.witnesses] == [(p1, q1), w2]
+
+
+@settings(max_examples=30)
+@given(bodies, st.lists(st.tuples(st.fractions(-9, 9, max_denominator=12),
+                                  st.fractions(-9, 9, max_denominator=12)),
+                        min_size=1, max_size=6))
+def test_gauge_matches_edge_oracle(K, points):
+    points = points + [(F(p), F(q)) for p in range(-2, 3) for q in range(-2, 3)]
+    for D in (K, pm.polar(K), pm.polar(pm.central_symmetral(K))):
+        fresh = Body(poly=D.polygon)
+        for p in points:
+            assert pm.gauge(fresh, vec(*p)) == edge_gauge(_tuples(fresh), p)
 
 
 @settings(max_examples=20)

@@ -100,6 +100,31 @@ class TestSuccessiveMinima:
         assert doc["radius"] == "1"
 
 
+class TestReducedEnumeration:
+    def test_sheared_square_and_its_polar(self, monkeypatch):
+        calls = []
+        inner = pm.minima.gauge
+        monkeypatch.setattr(pm.minima, "gauge", lambda K, x: calls.append(x) or inner(K, x))
+        K = pm.apply_transform(pm.Transform2.linear(1, 200, 0, 1), SQUARE)
+        cert, dual = pm.successive_minima(K), pm.successive_minima(pm.polar(K))
+        assert cert.lambdas == dual.lambdas == (1, 1)
+        assert cert.witnesses == (vec(1, 0), vec(199, 1))
+        assert dual.witnesses == (vec(0, 1), vec(1, -200))
+        # the box of the body's own coordinates still bounds the witnesses
+        assert (cert.search_radius, cert.extents) == (199, (201, 1))
+        assert (dual.search_radius, dual.extents) == (200, (1, 200))
+        assert cert.basis == (vec(1, 0), vec(200, 1))
+        assert dual.basis == (vec(0, 1), vec(1, -200))  # determinant -1
+        assert len(calls) <= 100
+
+    def test_standard_basis_kept_when_reduced(self):
+        assert pm.successive_minima(CROSS).basis == (vec(1, 0), vec(0, 1))
+
+    def test_basis_left_out_of_json(self):
+        K = pm.apply_transform(pm.Transform2.linear(1, 0, 7, 1), T23)
+        assert set(pm.successive_minima(K).to_json()) == {"lambda", "witnesses", "radius", "extents"}
+
+
 class TestMinimaBasis:
     def test_square(self):
         basis = pm.minima_basis(SQUARE)

@@ -39,6 +39,20 @@ class TestFeasible:
             pm.feasible(T11, F(1, 2))
 
 
+class TestOriginMemo:
+    def test_candidate_tests_each_body_for_the_origin_once(self, monkeypatch):
+        start = sample_feasible(random.Random(3), F(3, 2))
+        fresh = Body.from_points(start.body.polygon.vertices)
+        seen = []
+        inner = pm.core.contains
+        monkeypatch.setattr(pm.core, "contains",
+                            lambda p, q, mode="closed": seen.append(p) or inner(p, q, mode))
+        cand = pm.make_candidate(fresh, F(3, 2))
+        assert cand.feasible and cand.contacts_by_edge
+        # K, cs(K) and cs(K)° are each tested once
+        assert len(seen) == len(set(seen)) == 3
+
+
 class TestEdgePush:
     def test_no_slack_edge_on_minimizer(self):
         for t in (1, 2):
