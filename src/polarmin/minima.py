@@ -80,8 +80,8 @@ class MinimaBasis:
 
 
 def _extents(K: Body):
-    return (max(support(K, E1), support(K, -E1)),
-            max(support(K, E2), support(K, -E2)))
+    vs = K.polygon.vertices
+    return max(abs(v.x) for v in vs), max(abs(v.y) for v in vs)
 
 
 def _box_points(radius: Fraction, extents, cap):
