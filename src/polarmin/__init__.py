@@ -14,9 +14,9 @@ from .core import E1, E2, ORIGIN, HPolytope, Rat, Vec2, VPolygon, area, centroid
     clip_halfplane, contains, convex_hull, dec_str, edge_halfplanes, \
     halfplane_intersect, rat, rat_str, vec
 from .errors import BadParams, DegenerateInput, Empty, GeometryError, \
-    InternalInvariantViolation, NoClosedForm, NoFeasibleStart, NoSlackEdge, \
-    NotNormalized, NotRotatable, OriginNotInterior, SingularTransform, \
-    Unbounded, ZeroNormal
+    InternalInvariantViolation, LimitExceeded, NoClosedForm, NoFeasibleStart, \
+    NoSlackEdge, NotNormalized, NotRotatable, OriginNotInterior, \
+    SingularTransform, Unbounded, ZeroNormal
 from .families import FAMILY_NAMES, FamilySpec, MINIMA_REFERENCE, \
     closed_form_minima, closed_form_volume, make
 from .jsonio import body_from_json, body_to_json

@@ -7,7 +7,9 @@ linear-time, hull-free code path and is computed at most once per body:
   * the polar's vertices are read off the edges of K (the edge <n, x> = c
     dualizes to the vertex w = n/c); polar reads them as points, and gauge
     reads the same directions as integer rows (a, b) = D * w over their
-    common denominator D, so a gauge is integer multiply-adds;
+    common denominator D, so a gauge is integer multiply-adds.  The rows are
+    built on the first gauge of the body, so a polar alone never pays for D;
+  * the area, which the checks ask of the same body several times;
   * whether the origin is interior, which the polar, the search and the
     checks all ask;
   * the central symmetral is the Minkowski sum (K + (-K))/2, built by
@@ -35,13 +37,13 @@ class Body:
 
     `family` keeps provenance as (name, params dict) when the body was built
     by a family constructor.  All values are immutable after construction;
-    each memo (interior origin, polar directions and their integer rows,
-    polar, symmetral, minima certificate, centroid translate) is populated
-    at most once, so concurrent readers always observe a single consistent
-    value.
+    each memo (area, interior origin, polar directions and their integer
+    rows, polar, symmetral, minima certificate, centroid translate) is
+    populated at most once, so concurrent readers always observe a single
+    consistent value.
     """
 
-    __slots__ = ("dim", "family", "_poly", "_hrep", "_origin_open",
+    __slots__ = ("dim", "family", "_poly", "_hrep", "_volume", "_origin_open",
                  "_polar_dirs", "_gauge_rows", "_polar", "_symmetral",
                  "_minima", "_centered")
 
@@ -51,6 +53,7 @@ class Body:
         self._hrep = hrep
         self.family = family
         self.dim = dim
+        self._volume = None
         self._origin_open = None
         self._polar_dirs = None
         self._gauge_rows = None
@@ -84,7 +87,10 @@ class Body:
         return self._poly is not None
 
     def volume(self) -> Fraction:
-        return core.area(self.polygon)
+        """The area; memoized."""
+        if self._volume is None:
+            self._volume = core.area(self.polygon)
+        return self._volume
 
     def contains_origin(self, mode: str = "open") -> bool:
         """Whether the origin lies in the body; the open test is memoized."""
@@ -136,24 +142,24 @@ def support(K, u: Vec2) -> Fraction:
 def _polar_dirs(K: Body) -> tuple:
     # Vertices of the polar body, one per edge of K, in edge order but
     # without hull work: the edge {<n,x> = c} of K dualizes to the point n/c.
-    # The same directions are kept as integer rows for gauge.
     if K._polar_dirs is None:
         if not K.contains_origin("open"):
             raise OriginNotInterior("gauge/polar need the origin strictly inside")
-        dirs = tuple(n * (1 / c) for n, c in core.edge_halfplanes(K.polygon))
-        D = math.lcm(*(c.denominator for w in dirs for c in (w.x, w.y)))
-        K._gauge_rows = (tuple((w.x.numerator * (D // w.x.denominator),
-                                w.y.numerator * (D // w.y.denominator))
-                               for w in dirs), D)
-        K._polar_dirs = dirs
+        K._polar_dirs = tuple(n * (1 / c) for n, c in core.edge_halfplanes(K.polygon))
     return K._polar_dirs
 
 
 def gauge_rows(K) -> tuple:
     """(rows, D): the polar directions w_i of K as integer rows
-    (a_i, b_i) = D * w_i, D the least common denominator; memoized."""
+    (a_i, b_i) = D * w_i, D the least common denominator; built on the
+    first call, which is the body's first gauge, and memoized."""
     K = as_body(K)
-    _polar_dirs(K)
+    if K._gauge_rows is None:
+        dirs = _polar_dirs(K)
+        D = math.lcm(*(c.denominator for w in dirs for c in (w.x, w.y)))
+        K._gauge_rows = (tuple((w.x.numerator * (D // w.x.denominator),
+                                w.y.numerator * (D // w.y.denominator))
+                               for w in dirs), D)
     return K._gauge_rows
 
 

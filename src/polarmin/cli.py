@@ -1,8 +1,9 @@
 """Batch command line interface.
 
 All primary output is a single JSON document on stdout; diagnostics go to
-stderr.  Exit codes: 0 success, 2 parse/usage error, 3 geometric
-precondition failure, 4 no feasible search start, 5 verification violation.
+stderr.  Exit codes: 0 success, 2 parse/usage error or an exact result too
+long to print (LimitExceeded), 3 geometric precondition failure, 4 no
+feasible search start, 5 verification violation.
 Output is byte-identical across runs for identical inputs and seeds.
 """
 
@@ -16,7 +17,7 @@ import click
 
 from .body import central_symmetral, polar
 from .core import dec_str, rat, rat_str
-from .errors import BadParams, GeometryError, NoFeasibleStart
+from .errors import BadParams, GeometryError, LimitExceeded, NoFeasibleStart
 from .families import FamilySpec, make
 from .jsonio import body_from_json, body_to_json, vertices_json
 from .minima import successive_minima
@@ -101,6 +102,9 @@ def analyze(body_file, decimal, output):
         }
         out["all_theorems_hold"] = all(
             r.holds for r in reports if r.check_id in THEOREM_CHECKS)
+    except LimitExceeded as exc:
+        _fail(PARSE_ERROR, f"limit exceeded: {exc}")
+        return
     except GeometryError as exc:
         _fail(GEOMETRY_ERROR, f"geometric precondition failed: {exc}")
         return
@@ -129,7 +133,12 @@ def family(name, s_, t_, t1, t2, dim, output):
     except (BadParams, ValueError) as exc:
         _fail(PARSE_ERROR, f"bad family parameters: {exc}")
         return
-    _emit(vertices_json(body) if body.is_planar else body_to_json(body), output)
+    try:
+        doc = vertices_json(body) if body.is_planar else body_to_json(body)
+    except LimitExceeded as exc:
+        _fail(PARSE_ERROR, f"limit exceeded: {exc}")
+        return
+    _emit(doc, output)
 
 
 @main.command()
@@ -158,24 +167,28 @@ def search(t_, seeds, iters, trace, decimal, output):
         _fail(NO_FEASIBLE_START, f"no feasible start: {exc}")
         return
     gap = result.best.volume - result.target
-    out = {
-        "t": rat_str(t),
-        "seeds": seeds,
-        "iters": iters,
-        "target": rat_str(result.target),
-        "best": {
-            "seed": result.seed,
-            "volume": rat_str(result.best.volume),
-            "body": vertices_json(result.best.body),
-            "cert": result.best.cert.to_json(),
-        },
-        "gap": rat_str(gap),
-        "gap_dec": dec_str(gap, 9),
-        "converged_seeds": result.converged_seeds,
-        "failed_seeds": list(result.failed_seeds),
-    }
-    if trace:
-        out["trace"] = [[i, rat_str(v)] for i, v in result.trace]
+    try:
+        out = {
+            "t": rat_str(t),
+            "seeds": seeds,
+            "iters": iters,
+            "target": rat_str(result.target),
+            "best": {
+                "seed": result.seed,
+                "volume": rat_str(result.best.volume),
+                "body": vertices_json(result.best.body),
+                "cert": result.best.cert.to_json(),
+            },
+            "gap": rat_str(gap),
+            "gap_dec": dec_str(gap, 9),
+            "converged_seeds": result.converged_seeds,
+            "failed_seeds": list(result.failed_seeds),
+        }
+        if trace:
+            out["trace"] = [[i, rat_str(v)] for i, v in result.trace]
+    except LimitExceeded as exc:
+        _fail(PARSE_ERROR, f"limit exceeded: {exc}")
+        return
     if decimal is not None:
         out = _with_decimals(out, decimal)
     _emit(out, output)

@@ -9,11 +9,13 @@ strictly convex counterclockwise vertex lists.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput, Empty, Unbounded
+from .errors import DegenerateInput, Empty, LimitExceeded, Unbounded
 
 Rat = Fraction
 
@@ -37,8 +39,14 @@ def rat(value) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(q)
+    """Serialize as "p/q", or "p" when the denominator is 1.
+
+    Raises LimitExceeded when p or q has more digits than the interpreter
+    converts to a string."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise LimitExceeded(f"exact value too long to print: {exc}") from None
 
 
 def dec_str(q: Fraction, digits: int = 6) -> str:
@@ -275,46 +283,95 @@ class HPolytope:
         return [(Vec2(rat(n[0]), rat(n[1])), rat(c)) for n, c in self.rows]
 
 
-def _line_intersection(n1: Vec2, c1, n2: Vec2, c2):
+def _line_intersection(n1: Vec2, c1, n2: Vec2, c2) -> Vec2:
+    """The crossing of <n1, x> = c1 and <n2, x> = c2; the normals must not
+    be parallel."""
     det = n1.cross(n2)
-    if det == 0:
-        return None
     x = (c1 * n2.y - c2 * n1.y) / det
     y = (n1.x * c2 - n2.x * c1) / det
     return Vec2(x, y)
 
 
+def _angle_cmp(a: Vec2, b: Vec2) -> int:
+    """Exact comparison of the polar angles of two nonzero vectors in
+    [0, 2 pi): the half first, then the turn from one to the other."""
+    h = angle_half(a) - angle_half(b)
+    if h:
+        return h
+    c = a.cross(b)
+    return (c < 0) - (c > 0)
+
+
 def halfplane_intersect(h: HPolytope) -> VPolygon:
     """Vertex form of a bounded, full-dimensional planar halfplane intersection.
 
-    Raises Unbounded when the recession cone {d : <n_i, d> <= 0 for all i} is
-    nontrivial, and Empty when the intersection is empty or lower-dimensional.
+    Sort and sweep (de Berg et al., Computational Geometry, 3rd ed.,
+    sections 4.2 and 8.2), O(m log m) for m rows, every predicate exact:
+
+      * a zero row with a negative offset raises Empty, and no nonzero row
+        raises Unbounded;
+      * the rows are sorted by normal angle, and of parallel rows with the
+        same direction only the most restrictive is kept;
+      * Unbounded is raised when two cyclically consecutive normals are at
+        least pi apart, which is exactly a nontrivial recession cone
+        {d : <n_i, d> <= 0 for all i}, and is decided before emptiness;
+      * a deque of rows is swept in angle order: each new row pops rows from
+        the back, then from the front, while the vertex at that end is not
+        strictly inside it, and the two ends are finally trimmed against
+        each other.  A row that turns by pi or more from the back row, fewer
+        than 3 surviving rows, or lower-dimensional surviving vertices
+        raise Empty.
+
     Every input row either supports an edge of the result or is redundant.
     """
-    rows = [(n, c) for n, c in h.planar_rows() if not n.is_zero()]
-    for n, c in h.planar_rows():
+    planar = h.planar_rows()
+    for n, c in planar:
         if n.is_zero() and c < 0:
             raise Empty("contradictory trivial row")
+    rows = sorted(((n, c) for n, c in planar if not n.is_zero()),
+                  key=cmp_to_key(lambda r, s: _angle_cmp(r[0], s[0])))
     if not rows:
         raise Unbounded("no constraints")
 
-    # A nontrivial recession cone, if any, contains a ray orthogonal to some
-    # constraint normal; testing those candidate rays is exhaustive in 2D.
-    for n, _ in rows:
-        for d in (n.perp(), -n.perp()):
-            if all(m.dot(d) <= 0 for m, _ in rows):
-                raise Unbounded(f"recession direction {d}")
+    dirs = []  # the most restrictive row per normal direction, by angle
+    for n, c in rows:
+        if dirs and _angle_cmp(dirs[-1][0], n) == 0:
+            m, d = dirs[-1]
+            if c * m.dot(m) < n.dot(m) * d:
+                dirs[-1] = (n, c)
+        else:
+            dirs.append((n, c))
+    for (m, _), (n, _) in zip(dirs[-1:] + dirs[:-1], dirs):
+        if m.cross(n) <= 0:
+            raise Unbounded(f"recession direction {m.perp()}")
 
-    points = set()
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            p = _line_intersection(rows[i][0], rows[i][1], rows[j][0], rows[j][1])
-            if p is not None and all(n.dot(p) <= c for n, c in rows):
-                points.add(p)
-    if len(points) < 3:
+    lines = deque()  # rows of the current boundary chain, by angle
+    corners = deque()  # corners[i] is the vertex of lines[i] and lines[i + 1]
+    for n, c in dirs:
+        while corners and n.dot(corners[-1]) >= c:
+            lines.pop()
+            corners.pop()
+        while corners and n.dot(corners[0]) >= c:
+            lines.popleft()
+            corners.popleft()
+        if lines:
+            m, d = lines[-1]
+            if m.cross(n) <= 0:
+                raise Empty("intersection is empty")
+            corners.append(_line_intersection(m, d, n, c))
+        lines.append((n, c))
+    while len(lines) > 2 and lines[0][0].dot(corners[-1]) >= lines[0][1]:
+        lines.pop()
+        corners.pop()
+    while len(lines) > 2 and lines[-1][0].dot(corners[0]) >= lines[-1][1]:
+        lines.popleft()
+        corners.popleft()
+    (m, d), (n, c) = lines[-1], lines[0]
+    if len(lines) < 3 or m.cross(n) <= 0:
         raise Empty("intersection is empty or lower-dimensional")
+    corners.append(_line_intersection(m, d, n, c))
     try:
-        return convex_hull(points)
+        return convex_hull(corners)
     except DegenerateInput:
         raise Empty("intersection is lower-dimensional") from None
 

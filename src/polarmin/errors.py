@@ -53,5 +53,10 @@ class NoFeasibleStart(GeometryError):
     """Rejection sampling exhausted its budget without a feasible candidate."""
 
 
+class LimitExceeded(GeometryError):
+    """An exact value is too long for an interpreter limit, such as the
+    digit limit of integer string conversion."""
+
+
 class ZeroNormal(GeometryError):
     """A halfspace normal must be nonzero."""

@@ -204,13 +204,20 @@ def _gauss_reduce(rows):
 def _unimodular_image(K: Body, b1, b2) -> Body:
     """B⁻¹K for the unimodular B with columns b1, b2; its gauge at y is
     the gauge of K at By.  A map of determinant -1 reverses orientation, so
-    the vertex list is reversed to stay counterclockwise."""
+    the vertex list is reversed to stay counterclockwise.  The image's
+    integer gauge rows are K's rows (a, b) mapped by Bᵀ, over the same D
+    (B is unimodular), and its origin is interior since K's is."""
     det = b1[0] * b2[1] - b2[0] * b1[1]
     vs = [vec(det * (b2[1] * v.x - b2[0] * v.y), det * (b1[0] * v.y - b1[1] * v.x))
           for v in K.polygon.vertices]
     if det < 0:
         vs.reverse()
-    return Body(poly=VPolygon(vs, _trusted=True))
+    rows, D = gauge_rows(K)
+    image = Body(poly=VPolygon(vs, _trusted=True))
+    image._gauge_rows = (tuple((a * b1[0] + b * b1[1], a * b2[0] + b * b2[1])
+                               for a, b in rows), D)
+    image._origin_open = True
+    return image
 
 
 def _certify(K: Body) -> MinimaCert:

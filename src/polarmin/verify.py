@@ -147,11 +147,11 @@ def check_grunbaum(K, a: Vec2) -> Report:
     constant (n/(n+1))^n = 4/9 valid for every nonzero normal."""
     if a.is_zero():
         raise ZeroNormal("halfspace normal must be nonzero")
-    poly = centered(K).polygon
-    clipped = clip_halfplane(poly, -a, 0)
+    Kc = centered(K)
+    clipped = clip_halfplane(Kc.polygon, -a, 0)
     lhs = area(clipped) if clipped is not None else Fraction(0)
     meta = {"normal": f"({rat_str(a.x)}, {rat_str(a.y)})"}
-    return _report("gruenbaum", lhs, Fraction(4, 9) * area(poly), "ge", meta=meta)
+    return _report("gruenbaum", lhs, Fraction(4, 9) * Kc.volume(), "ge", meta=meta)
 
 
 def conjecture_report(K) -> list:

@@ -8,6 +8,8 @@ share code paths with the library they check.
 import math
 from fractions import Fraction
 
+from polarmin.errors import Empty, Unbounded
+
 
 def shoelace(points) -> Fraction:
     """|area| of a polygon given as (x, y) tuples in boundary order."""
@@ -132,3 +134,36 @@ def pairwise_symmetral(vertices):
     half = Fraction(1, 2)
     return _hull(((Fraction(a[0]) - b[0]) * half, (Fraction(a[1]) - b[1]) * half)
                  for a in vertices for b in vertices if a != b)
+
+
+def halfplane_vertices(rows):
+    """Vertices, in _hull order, of the intersection of the halfplanes
+    <(a, b), x> <= c given as ((a, b), c) tuples, by brute force: every
+    pairwise line intersection that satisfies all rows, then the hull.
+
+    Raises Empty for a zero row with c < 0, Unbounded for no nonzero row or
+    a nontrivial recession cone (which, when nontrivial, contains a ray
+    orthogonal to some normal), then Empty for an empty or lower-dimensional
+    intersection, in that order.  O(m^3)."""
+    rows = [((Fraction(a), Fraction(b)), Fraction(c)) for (a, b), c in rows]
+    if any(a == b == 0 and c < 0 for (a, b), c in rows):
+        raise Empty("contradictory trivial row")
+    rows = [r for r in rows if r[0] != (0, 0)]
+    if not rows:
+        raise Unbounded("no constraints")
+    for (a, b), _ in rows:
+        for d in ((-b, a), (b, -a)):
+            if all(p * d[0] + q * d[1] <= 0 for (p, q), _ in rows):
+                raise Unbounded(f"recession direction {d}")
+    points = set()
+    for i, ((a1, b1), c1) in enumerate(rows):
+        for (a2, b2), c2 in rows[i + 1:]:
+            det = a1 * b2 - b1 * a2
+            if det:
+                x = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+                if all(p * x[0] + q * x[1] <= c for (p, q), c in rows):
+                    points.add(x)
+    hull = _hull(points)
+    if len(hull) < 3:
+        raise Empty("intersection is empty or lower-dimensional")
+    return hull

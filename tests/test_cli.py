@@ -86,6 +86,17 @@ class TestAnalyzeCommand:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "parse error" in res.output
 
+    def test_value_too_long_to_print_exit_2(self, tmp_path):
+        # coordinates of 1200 digits give output values past the
+        # interpreter's digit limit for integer string conversion
+        N = 10**1200
+        q = lambda k: f"{N + k}/{N}"
+        doc = {"type": "vpoly", "vertices": [[q(1), q(2)], ["-" + q(3), q(4)],
+                                             ["-" + q(5), "-" + q(6)], [q(7), "-" + q(8)]]}
+        res = run("analyze", write_body(tmp_path, doc))
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "limit exceeded" in res.output and "digits" in res.output
+
     def test_degenerate_body_exit_3(self, tmp_path):
         doc = {"type": "vpoly", "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}
         assert run("analyze", write_body(tmp_path, doc)).exit_code == 3

@@ -129,6 +129,27 @@ class TestHalfplaneIntersect:
         with pytest.raises(Empty):
             pm.halfplane_intersect(h)
 
+    def test_empty_strip_without_other_rows_is_unbounded(self):
+        # 1 <= x <= 0 is empty, but boundedness is decided first
+        h = HPolytope.planar([(vec(1, 0), 0), (vec(-1, 0), -1)])
+        with pytest.raises(Unbounded):
+            pm.halfplane_intersect(h)
+
+    def test_line_intersections_linear_in_rows(self, monkeypatch):
+        # 64 edge rows of a rational 64-gon; all pairs would be 2016
+        circle = [vec((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
+                  for s in (F(k, 8) for k in range(-32, 32))]
+        poly = pm.convex_hull(circle)
+        assert len(poly) == 64
+        rows = pm.edge_halfplanes(poly)
+        random.Random(64).shuffle(rows)
+        calls = []
+        inner = pm.core._line_intersection
+        monkeypatch.setattr(pm.core, "_line_intersection",
+                            lambda *a: calls.append(a) or inner(*a))
+        assert pm.halfplane_intersect(HPolytope.planar(rows)) == poly
+        assert len(calls) <= 2 * len(rows)
+
     def test_roundtrip_with_vertex_form(self):
         rng = random.Random(11)
         done = 0

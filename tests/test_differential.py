@@ -4,20 +4,23 @@ The bodies are corpus polygons, rational n-gons with up to 48 vertices
 (points on the rational parametrization of the unit circle, stretched and
 moved to their centroid) and unimodular shears of corpus polygons; the
 minima are also checked on products of shears, swaps and signs of those.
-The contact maps are checked on feasible search candidates.
+The contact maps are checked on feasible search candidates, and the
+halfplane intersection on small random row sets and on the shuffled edge
+rows of the bodies.
 """
 
 import random
 from fractions import Fraction as F
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polarmin as pm
 from polarmin import Body, HPolytope, vec
 from polarmin.minima import witness_key
 from polarmin.search import sample_feasible
 
-from oracles import contact_points, edge_gauge, pairwise_symmetral, short_vectors
+from oracles import contact_points, edge_gauge, halfplane_vertices, \
+    pairwise_symmetral, short_vectors
 from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
@@ -135,3 +138,79 @@ def test_contact_maps_match_vertex_oracle(seed, t):
         assert [(p.x, p.y) for p in got] == c
         assert {i: {(p.x, p.y) for p in ps}
                 for i, ps in cand.contacts_by_edge.items()} == by_vertex
+
+
+def _intersection(rows):
+    """Vertex tuples of halfplane_intersect, or the name of its exception."""
+    try:
+        poly = pm.halfplane_intersect(HPolytope.planar((vec(*n), c) for n, c in rows))
+    except (pm.Empty, pm.Unbounded) as exc:
+        return type(exc).__name__
+    return _tuples(Body(poly=poly))
+
+
+def _oracle_intersection(rows):
+    try:
+        return halfplane_vertices(rows)
+    except (pm.Empty, pm.Unbounded) as exc:
+        return type(exc).__name__
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def row_sets(draw):
+    """1 to 9 rows ((a, b), c) with small integer entries.  After the first,
+    a row may be an earlier one scaled and shifted (parallel), negated and
+    shifted (antiparallel), or a line through or just beside the crossing
+    of two earlier lines, so redundant, unbounded, empty and
+    lower-dimensional sets all occur."""
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "parallel", "antiparallel",
+                                     "through"])) if len(rows) > 1 else "fresh"
+        shift = draw(st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-1, 2)]))
+        if kind == "fresh":
+            rows.append(((draw(small), draw(small)), draw(st.integers(-3, 4))))
+            continue
+        (a, b), c = draw(st.sampled_from(rows))
+        if kind == "parallel":
+            t = draw(st.integers(1, 3))
+            rows.append(((t * a, t * b), t * c + shift))
+        elif kind == "antiparallel":
+            rows.append(((-a, -b), -c + shift))
+        else:
+            (p, q), d = draw(st.sampled_from(rows))
+            det = a * q - b * p
+            x = ((c * q - d * b) / F(det), (a * d - p * c) / F(det)) if det else (0, 0)
+            u, v = draw(small), draw(small)
+            rows.append(((u, v), u * x[0] + v * x[1] + shift))
+    return rows
+
+
+@settings(max_examples=400)
+@given(row_sets())
+# the last row cuts off the vertex of the first two rows in angle order,
+# so the sweep must pop the front of its deque
+@example([((2, 1), 3), ((-2, -3), 4), ((0, -1), 3), ((-2, 0), -3), ((-2, 2), 1),
+          ((3, 2), 1)])
+def test_halfplane_intersection_matches_all_pairs_oracle(rows):
+    assert _intersection(rows) == _oracle_intersection(rows)
+
+
+@settings(max_examples=40)
+@given(bodies.filter(lambda K: len(K.polygon) <= 16), st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(0, 47), st.integers(1, 3), st.sampled_from(
+           [-1, 0, 0, 1, F(1, 3)])), max_size=4))
+def test_halfplane_intersection_of_shuffled_edge_rows(K, rnd, extra):
+    edges = [((n.x, n.y), c) for n, c in pm.edge_halfplanes(K.polygon)]
+    rows = list(edges)
+    for i, t, shift in extra:  # parallel copies, looser or tighter
+        (a, b), c = edges[i % len(edges)]
+        rows.append(((t * a, t * b), t * c + shift))
+    rnd.shuffle(rows)
+    got = _intersection(rows)
+    assert got == _oracle_intersection(rows)
+    if all(shift >= 0 for _, _, shift in extra):
+        assert got == _tuples(K)

@@ -117,6 +117,17 @@ class TestReducedEnumeration:
         assert dual.basis == (vec(0, 1), vec(1, -200))  # determinant -1
         assert len(calls) <= 100
 
+    def test_reduced_image_reuses_the_gauge_rows(self, monkeypatch):
+        # B⁻¹K takes its integer rows from K's, so only K's edges are read
+        calls = []
+        inner = pm.core.edge_halfplanes
+        monkeypatch.setattr(pm.core, "edge_halfplanes", lambda p: calls.append(p) or inner(p))
+        K = pm.apply_transform(pm.Transform2.linear(1, 200, 0, 1), SQUARE)
+        cert = pm.successive_minima(K)
+        assert cert.basis == (vec(1, 0), vec(200, 1))
+        assert cert.witnesses == (vec(1, 0), vec(199, 1))
+        assert calls == [K.polygon]
+
     def test_standard_basis_kept_when_reduced(self):
         assert pm.successive_minima(CROSS).basis == (vec(1, 0), vec(0, 1))
 

@@ -193,6 +193,27 @@ class TestSuiteInvariants:
         standard_checks(shifted, random_normals("shift", 20))
         assert len(calls) == len(set(calls)) == 3
 
+    def test_each_body_area_computed_once(self, monkeypatch, corpus60):
+        # K, K° and cs(K)° each have their area taken once (K is centered),
+        # and each Grünbaum cut shoelaces its clipped polygon
+        calls = []
+        inner = pm.core.area
+        counted = lambda p: calls.append(p) or inner(p)
+        monkeypatch.setattr(pm.core, "area", counted)
+        monkeypatch.setattr(pm.verify, "area", counted)
+        clips = []
+        clip = pm.verify.clip_halfplane
+        monkeypatch.setattr(pm.verify, "clip_halfplane",
+                            lambda *a: clips.append(clip(*a)) or clips[-1])
+        K = pm.Body(poly=corpus60[0].polygon)
+        assert pm.centered(K) is K
+        standard_checks(K, random_normals("areas", 20))
+        assert len(clips) == 20 and None not in clips
+        bodies = {K.polygon, pm.polar(K).polygon,
+                  pm.polar(pm.central_symmetral(K)).polygon}
+        assert len(calls) == len(bodies) + len(clips)
+        assert set(calls) == bodies | set(clips)
+
     def test_rational_checks_are_exact(self):
         for rep in standard_checks(T23, [pm.E1]):
             assert rep.exact == (rep.check_id != "eq_1_9")
