@@ -5,10 +5,10 @@ only closed-form data is available.  Every derived quantity has one
 linear-time, hull-free code path and is computed at most once per body:
 
   * the polar's vertices are read off the edges of K (the edge <n, x> = c
-    dualizes to the vertex w = n/c); polar reads them as points, and gauge
-    reads the same directions as integer rows (a, b) = D * w over their
-    common denominator D, so a gauge is integer multiply-adds.  The rows are
-    built on the first gauge of the body, so a polar alone never pays for D;
+    dualizes to the vertex w = n/c), and K°'s are K's vertices; polar reads
+    them as points, gauge as integer rows (a, b) = D * w over their common
+    denominator D, built on the body's first gauge, so a gauge is integer
+    multiply-adds and a polar alone never pays for D;
   * the area, which the checks ask of the same body several times;
   * whether the origin is interior, which the polar, the search and the
     checks all ask;
@@ -18,7 +18,8 @@ linear-time, hull-free code path and is computed at most once per body:
   * the centroid translate is built once and shares the body's symmetral,
     since cs(K + v) = cs(K).
 
-The memos live in the body's slots and are freed with it.
+The memos live in the body's slots and are freed with it.  An affine image
+is the mapped vertex list, with no hull.
 """
 
 from __future__ import annotations
@@ -189,12 +190,13 @@ def polar(K) -> Body:
     The vertices of K° are the memoized polar directions n/c, one per edge
     {<n, x> = c} of K and already in counterclockwise order, so the polar
     costs O(m) and no hull or halfplane work.  polar(polar(K)) returns a
-    body equal to K.
+    body equal to K, whose vertices are the polar directions of K°.
     """
     K = as_body(K)
     if K._polar is None:
         dual = Body(poly=VPolygon(_polar_dirs(K), _trusted=True))
         dual._polar = K
+        dual._polar_dirs = K.polygon.vertices
         K._polar = dual
     return K._polar
 
@@ -293,10 +295,6 @@ class Transform2:
     def identity() -> "Transform2":
         return Transform2.linear(1, 0, 0, 1)
 
-    @staticmethod
-    def translation_by(v: Vec2) -> "Transform2":
-        return Transform2.linear(1, 0, 0, 1, v)
-
     @property
     def det(self) -> Fraction:
         (a, b), (c, d) = self.m
@@ -318,11 +316,12 @@ class Transform2:
 
 
 def apply_transform(T: Transform2, K) -> Body:
-    """Image T(K); the area scales by |det T|."""
+    """Image T(K), the mapped vertex list with no hull, reversed when
+    det T < 0 to stay counterclockwise; the area scales by |det T|."""
     if T.det == 0:
         raise SingularTransform("determinant is zero")
-    K = as_body(K)
-    return Body(poly=core.convex_hull(T.apply_vec(v) for v in K.polygon.vertices))
+    vs = [T.apply_vec(v) for v in as_body(K).polygon.vertices]
+    return Body(poly=VPolygon(vs if T.det > 0 else vs[::-1], _trusted=True))
 
 
 def gauge_cs_identity(K, x: Vec2):

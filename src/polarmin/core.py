@@ -377,7 +377,7 @@ def halfplane_intersect(h: HPolytope) -> VPolygon:
 
 
 def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
-    """Exact clip of a polygon by {x : <a, x> <= c}.
+    """Exact clip of a polygon by {x : <a, x> <= c}, built without a hull.
 
     Returns None when the clipped region is empty or lower-dimensional.
     """
@@ -392,7 +392,8 @@ def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
         if (fu < 0 < fw) or (fw < 0 < fu):
             t = fu / (fu - fw)
             out.append(u + t * (w - u))
-    try:
-        return convex_hull(out) if len(out) >= 3 else None
-    except DegenerateInput:
-        return None
+    # A line meets a strictly convex boundary in at most two points or one
+    # edge, and a crossing lies strictly inside its edge, so 3 or more kept
+    # points include one strictly inside the halfplane and are strictly
+    # convex, in CCW boundary order.
+    return VPolygon(out, _trusted=True) if len(out) >= 3 else None

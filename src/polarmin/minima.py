@@ -23,7 +23,7 @@ from fractions import Fraction
 from .body import Body, as_body, apply_transform, centered, \
     central_symmetral, gauge, gauge_rows, is_symmetric, polar, scale, \
     support, Transform2
-from .core import E1, E2, Vec2, VPolygon, centroid, rat_str, vec
+from .core import E1, E2, Vec2, centroid, rat_str, vec
 from .errors import InternalInvariantViolation, NotNormalized, OriginNotInterior
 
 
@@ -202,18 +202,14 @@ def _gauss_reduce(rows):
 
 
 def _unimodular_image(K: Body, b1, b2) -> Body:
-    """B⁻¹K for the unimodular B with columns b1, b2; its gauge at y is
-    the gauge of K at By.  A map of determinant -1 reverses orientation, so
-    the vertex list is reversed to stay counterclockwise.  The image's
+    """B⁻¹K for the unimodular B with columns b1, b2, built by
+    `apply_transform`; its gauge at y is the gauge of K at By.  The image's
     integer gauge rows are K's rows (a, b) mapped by Bᵀ, over the same D
     (B is unimodular), and its origin is interior since K's is."""
-    det = b1[0] * b2[1] - b2[0] * b1[1]
-    vs = [vec(det * (b2[1] * v.x - b2[0] * v.y), det * (b1[0] * v.y - b1[1] * v.x))
-          for v in K.polygon.vertices]
-    if det < 0:
-        vs.reverse()
+    det = b1[0] * b2[1] - b2[0] * b1[1]  # +-1, its own inverse
+    inverse = Transform2.linear(det * b2[1], -det * b2[0], -det * b1[1], det * b1[0])
     rows, D = gauge_rows(K)
-    image = Body(poly=VPolygon(vs, _trusted=True))
+    image = apply_transform(inverse, K)
     image._gauge_rows = (tuple((a * b1[0] + b * b1[1], a * b2[0] + b * b2[1])
                                for a, b in rows), D)
     image._origin_open = True

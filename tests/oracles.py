@@ -128,6 +128,27 @@ def _hull(points):
     return chain(pts)[:-1] + chain(reversed(pts))[:-1]
 
 
+def clip_hull(vertices, a, c):
+    """Clip of a CCW polygon, given as (x, y) tuples, by <a, x> <= c: the
+    kept vertices and the crossings of edges whose ends lie strictly on
+    either side, hulled by `_hull`; None when fewer than 3 hull points
+    remain (an empty or lower-dimensional clip)."""
+    c = Fraction(c)
+    n = len(vertices)
+    points = []
+    for i in range(n):
+        u, w = vertices[i], vertices[(i + 1) % n]
+        fu = a[0] * u[0] + a[1] * u[1] - c
+        fw = a[0] * w[0] + a[1] * w[1] - c
+        if fu <= 0:
+            points.append(u)
+        if fu * fw < 0:
+            t = fu / (fu - fw)
+            points.append((u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1])))
+    hull = _hull(points)
+    return hull if len(hull) >= 3 else None
+
+
 def pairwise_symmetral(vertices):
     """Central symmetral (K - K)/2 as the hull of all pairwise
     half-differences of the vertices: O(n^2) points, no edge merging."""

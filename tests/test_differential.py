@@ -4,9 +4,10 @@ The bodies are corpus polygons, rational n-gons with up to 48 vertices
 (points on the rational parametrization of the unit circle, stretched and
 moved to their centroid) and unimodular shears of corpus polygons; the
 minima are also checked on products of shears, swaps and signs of those.
-The contact maps are checked on feasible search candidates, and the
-halfplane intersection on small random row sets and on the shuffled edge
-rows of the bodies.
+The clips and affine images, built without a hull, are checked against
+the hull of the same points.  The contact maps are checked on feasible
+search candidates, and the halfplane intersection on small random row sets
+and on the shuffled edge rows of the bodies.
 """
 
 import random
@@ -19,8 +20,8 @@ from polarmin import Body, HPolytope, vec
 from polarmin.minima import witness_key
 from polarmin.search import sample_feasible
 
-from oracles import contact_points, edge_gauge, halfplane_vertices, \
-    pairwise_symmetral, short_vectors
+from oracles import _hull, clip_hull, contact_points, edge_gauge, \
+    halfplane_vertices, pairwise_symmetral, short_vectors
 from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
@@ -54,6 +55,7 @@ def shears(draw):
 
 bodies = st.one_of(st.sampled_from(CORPUS), ngons(), shears())
 unimodular = st.integers(0, 2**32).map(lambda seed: random_unimodular(random.Random(seed)))
+small = st.integers(-3, 3)
 
 
 def _tuples(K):
@@ -140,6 +142,59 @@ def test_contact_maps_match_vertex_oracle(seed, t):
                 for i, ps in cand.contacts_by_edge.items()} == by_vertex
 
 
+@settings(max_examples=300)
+@given(bodies, st.data())
+def test_clip_matches_clip_and_hull_oracle(K, data):
+    vs = _tuples(K)
+    kind = data.draw(st.sampled_from(["vertex", "edge", "miss", "contain", "between"]))
+    if kind == "edge":  # the line along an edge, with K on either side
+        i = data.draw(st.integers(0, len(vs) - 1))
+        (x0, y0), (x1, y1) = vs[i], vs[(i + 1) % len(vs)]
+        s = data.draw(st.sampled_from([1, -1]))
+        a = (s * (y1 - y0), s * (x0 - x1))
+        c = a[0] * x0 + a[1] * y0
+    else:
+        a = data.draw(st.tuples(small, small).filter(lambda n: n != (0, 0)))
+        values = sorted(a[0] * x + a[1] * y for x, y in vs)
+        gap = data.draw(st.fractions(0, 3, max_denominator=6))
+        if kind == "vertex":
+            c = data.draw(st.sampled_from(values))
+        elif kind == "miss":
+            c = values[0] - gap - F(1, 7)
+        elif kind == "contain":
+            c = values[-1] + gap
+        else:
+            c = values[0] + (values[-1] - values[0]) * data.draw(
+                st.fractions(0, 1, max_denominator=12))
+    got = pm.clip_halfplane(K.polygon, vec(*a), c)
+    expected = clip_hull(vs, a, c)
+    assert (None if got is None else _tuples(Body(poly=got))) == expected
+    if kind == "miss":
+        assert got is None
+    if kind == "contain":
+        assert got == K.polygon
+
+
+@st.composite
+def rational_maps(draw):
+    """Invertible affine maps with small rational entries and translation,
+    of either determinant sign."""
+    entries = st.fractions(-3, 3, max_denominator=5)
+    (a, b), (c, d) = (draw(entries), draw(entries)), (draw(entries), draw(entries))
+    assume(a * d - b * c != 0)
+    if (a * d - b * c < 0) != draw(st.booleans()):
+        (a, b), (c, d) = (c, d), (a, b)
+    return pm.Transform2.linear(a, b, c, d, vec(draw(entries), draw(entries)))
+
+
+@given(bodies, st.one_of(unimodular, rational_maps()))
+def test_affine_image_matches_hull_of_mapped_vertices(K, T):
+    (a, b), (c, d) = T.m
+    u, v = T.translation.x, T.translation.y
+    mapped = [(a * x + b * y + u, c * x + d * y + v) for x, y in _tuples(K)]
+    assert _tuples(pm.apply_transform(T, K)) == _hull(mapped)
+
+
 def _intersection(rows):
     """Vertex tuples of halfplane_intersect, or the name of its exception."""
     try:
@@ -154,9 +209,6 @@ def _oracle_intersection(rows):
         return halfplane_vertices(rows)
     except (pm.Empty, pm.Unbounded) as exc:
         return type(exc).__name__
-
-
-small = st.integers(-3, 3)
 
 
 @st.composite

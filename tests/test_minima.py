@@ -128,6 +128,20 @@ class TestReducedEnumeration:
         assert cert.witnesses == (vec(1, 0), vec(199, 1))
         assert calls == [K.polygon]
 
+    def test_polar_takes_its_directions_from_the_body(self, monkeypatch):
+        # the polar directions of K° are the vertices of K, so certifying K°
+        # reads the edges of K (to build K°) and never those of K°
+        calls = []
+        inner = pm.core.edge_halfplanes
+        monkeypatch.setattr(pm.core, "edge_halfplanes", lambda p: calls.append(p) or inner(p))
+        for T, body in ((pm.Transform2.linear(1, 0, 7, 1), T23),
+                        (pm.Transform2.linear(1, 200, 0, 1), SQUARE)):
+            K = pm.apply_transform(T, body)
+            expected = pm.successive_minima(pm.polar(body)).lambdas
+            calls.clear()
+            assert pm.successive_minima(pm.polar(K)).lambdas == expected
+            assert calls == [K.polygon]
+
     def test_standard_basis_kept_when_reduced(self):
         assert pm.successive_minima(CROSS).basis == (vec(1, 0), vec(0, 1))
 

@@ -49,8 +49,9 @@ class TestOriginMemo:
                             lambda p, q, mode="closed": seen.append(p) or inner(p, q, mode))
         cand = pm.make_candidate(fresh, F(3, 2))
         assert cand.feasible and cand.contacts_by_edge
-        # K, cs(K) and cs(K)° are each tested once
-        assert len(seen) == len(set(seen)) == 3
+        # K and cs(K) are each tested once; cs(K)° takes its polar directions
+        # from the vertices of cs(K), whose own test covers it
+        assert len(seen) == len(set(seen)) == 2
 
 
 class TestEdgePush:

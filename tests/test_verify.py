@@ -214,6 +214,19 @@ class TestSuiteInvariants:
         assert len(calls) == len(bodies) + len(clips)
         assert set(calls) == bodies | set(clips)
 
+    def test_checks_of_a_centered_body_build_no_hull(self, monkeypatch, corpus60):
+        # each Grünbaum cut is the clip sequence itself, and every polar and
+        # symmetral is read off edges, so no check hulls a point set
+        calls = []
+        inner = pm.core.convex_hull
+        counted = lambda pts: calls.append(pts) or inner(pts)
+        monkeypatch.setattr(pm.core, "convex_hull", counted)
+        monkeypatch.setattr(pm.verify, "convex_hull", counted)
+        K = pm.Body(poly=corpus60[0].polygon)
+        assert pm.centered(K) is K
+        assert len(standard_checks(K, random_normals("hulls", 20))) > 20
+        assert calls == []
+
     def test_rational_checks_are_exact(self):
         for rep in standard_checks(T23, [pm.E1]):
             assert rep.exact == (rep.check_id != "eq_1_9")
