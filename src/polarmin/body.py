@@ -41,7 +41,8 @@ class Body:
     each memo (area, interior origin, polar directions and their integer
     rows, polar, symmetral, minima certificate, centroid translate) is
     populated at most once, so concurrent readers always observe a single
-    consistent value.
+    consistent value.  No memo refers back to its body, so reference
+    counting, not the cycle collector, frees a body and its memos.
     """
 
     __slots__ = ("dim", "family", "_poly", "_hrep", "_volume", "_origin_open",
@@ -185,17 +186,17 @@ def gauge(K, x: Vec2) -> Fraction:
 
 
 def polar(K) -> Body:
-    """K° = {y : <x, y> <= 1 for all x in K}, with the bipolar memoized.
+    """K° = {y : <x, y> <= 1 for all x in K}, memoized on K.
 
     The vertices of K° are the memoized polar directions n/c, one per edge
     {<n, x> = c} of K and already in counterclockwise order, so the polar
-    costs O(m) and no hull or halfplane work.  polar(polar(K)) returns a
-    body equal to K, whose vertices are the polar directions of K°.
+    costs O(m) and no hull or halfplane work.  K° is handed K's vertices as
+    its own polar directions but no link back to K, so polar(polar(K)) is a
+    fresh body equal to K, built in O(m) from those directions.
     """
     K = as_body(K)
     if K._polar is None:
         dual = Body(poly=VPolygon(_polar_dirs(K), _trusted=True))
-        dual._polar = K
         dual._polar_dirs = K.polygon.vertices
         K._polar = dual
     return K._polar
@@ -257,19 +258,19 @@ def translate(K, v: Vec2) -> Body:
 
 def centered(K) -> Body:
     """K translated by minus its centroid, memoized; K itself when its
-    centroid is already 0.  The translate is handed K's central symmetral,
-    which is exactly its own since cs(K + v) = cs(K), and with it every memo
-    of the symmetral (polar, minima)."""
+    centroid is already 0 (memoized as False, not as a self-reference).  The
+    translate is handed K's central symmetral, which is exactly its own since
+    cs(K + v) = cs(K), and with it every memo of the symmetral (polar, minima)."""
     K = as_body(K)
     if K._centered is None:
         c = core.centroid(K.polygon)
         if c.is_zero():
-            K._centered = K
+            K._centered = False
         else:
             Kc = translate(K, -c)
             Kc._symmetral = central_symmetral(K)
             K._centered = Kc
-    return K._centered
+    return K._centered or K
 
 
 def scale(K, r) -> Body:

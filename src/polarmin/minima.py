@@ -23,7 +23,7 @@ from fractions import Fraction
 from .body import Body, as_body, apply_transform, centered, \
     central_symmetral, gauge, gauge_rows, is_symmetric, polar, scale, \
     support, Transform2
-from .core import E1, E2, Vec2, centroid, rat_str, vec
+from .core import E1, E2, Vec2, rat_str, vec
 from .errors import InternalInvariantViolation, NotNormalized, OriginNotInterior
 
 
@@ -286,8 +286,10 @@ def normalize_to_At(K) -> AtNormalForm:
     sides of the bound scale by scale².
     """
     K = as_body(K)
-    c = centroid(K.polygon)
     K0 = centered(K)
+    # the canonical rotation (least vertex first) is translation invariant,
+    # so the first vertices differ by exactly the centroid
+    c = K.polygon.vertices[0] - K0.polygon.vertices[0]
     if not K0.contains_origin("open"):
         raise OriginNotInterior("centroid translation did not give interior origin")
     dual = polar(central_symmetral(K0))

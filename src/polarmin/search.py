@@ -39,8 +39,6 @@ from .errors import BadParams, DegenerateInput, GeometryError, \
 from .minima import MinimaCert, contact_set, normalize_to_At, \
     successive_minima
 
-_MAX_AUGMENT = 16
-
 
 def target_volume(t) -> Fraction:
     """Minimal volume over A(t): 2/t - 1/(2 t^2), attained by a triangle."""
@@ -132,88 +130,54 @@ def _support_parts(vertices, i, z):
     return a, M
 
 
-def _segments(a, b, M, a2, b2, M2, hi):
-    """Linear pieces of g(tau) = (max(M, a+tau b) + max(M2, a2+tau b2))/2 on
-    [0, hi]: yields (start, end, value_at_start, slope)."""
-    kinks = {Fraction(0), hi}
-    for aa, bb, mm in ((a, b, M), (a2, b2, M2)):
-        if bb != 0:
-            k = (mm - aa) / bb
-            if 0 < k < hi:
-                kinks.add(k)
-    ks = sorted(kinks)
+def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
+    """Largest tau >= 0 keeping the pair constraint satisfied, or None when
+    it holds for every tau >= 0.
 
-    def val_slope(tau):
-        v = Fraction(0)
-        s = Fraction(0)
-        for aa, bb, mm in ((a, b, M), (a2, b2, M2)):
-            moving = aa + tau * bb
+    g(tau) = (max(M, a + tau b) + max(M2, a2 + tau b2))/2 is linear between
+    its kinks and on the unbounded piece after the last one; the value and
+    the right-hand slope at a piece's start describe the whole piece.  For
+    ">=" constraints the limit is the first downward crossing of the bound;
+    for equality constraints it is the end of the initial flat stretch."""
+    parts = ((a, b, M), (a2, b2, M2))
+    kinks = sorted(k for k in {(mm - aa) / bb for aa, bb, mm in parts if bb != 0}
+                   if k > 0)
+    for lo, hi in zip([Fraction(0)] + kinks, kinks + [None]):
+        v = s = Fraction(0)  # 2 g(lo) and the slope of 2 g on the piece
+        for aa, bb, mm in parts:
+            moving = aa + lo * bb
             if moving > mm or (moving == mm and bb > 0):
                 v += moving
                 s += bb
             else:
                 v += mm
-        return v / 2, s / 2
-
-    for lo, hi_ in zip(ks, ks[1:]):
-        mid = (lo + hi_) / 2
-        _, slope = val_slope(mid)
-        v_lo, _ = val_slope(lo)
-        yield lo, hi_, v_lo, slope
-
-
-_FAR = Fraction(10**9)
-
-
-def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
-    """Largest tau in [0, FAR] keeping the pair constraint satisfied.
-
-    For ">=" constraints this is the first downward crossing of the bound;
-    for equality constraints it is the end of the initial flat stretch."""
-    for lo, hi, v_lo, slope in _segments(a, b, M, a2, b2, M2, _FAR):
         if equality:
-            if slope != 0:
+            if s != 0:
                 return lo
-            continue
-        if slope < 0:
-            cross_at = lo + (v_lo - bound) / (-slope)
-            if cross_at < hi:
+        elif s < 0:
+            cross_at = lo + (v - 2 * bound) / -s
+            if hi is None or cross_at < hi:
                 return max(cross_at, lo)
-    return _FAR
+    return None
 
 
-def _lattice_constraints(cand: Candidate, extra=()):
+def _lattice_constraints(cand: Candidate):
     """(z, bound, equality) triples: the two witness equalities plus the
-    gauge >= 1 constraints for every off-axis representative."""
-    cons = [(E1, 1 / cand.t, True), (E2, Fraction(1), True)]
-    seen = {(1, 0), (0, 1)}
-    for z in list(_constraint_reps(cand)) + list(extra):
-        key = (int(z.x), int(z.y))
-        if key in seen or z.y == 0:
-            continue
-        seen.add(key)
-        cons.append((z, Fraction(1), False))
-    return cons
+    gauge >= 1 constraints for every representative but e2 (all have
+    n >= 1, so e1 is never one)."""
+    return [(E1, 1 / cand.t, True), (E2, Fraction(1), True)] + \
+        [(z, Fraction(1), False) for z in _constraint_reps(cand) if z != E2]
 
 
 def _rebuild(cand: Candidate, vertices) -> Candidate:
     return make_candidate(Body.from_points(vertices), cand.t)
 
 
-def _violating_reps(cand: Candidate):
-    """Off-axis witnesses that break A(t) membership, for constraint-set
-    augmentation after a move overshoots."""
-    dual = polar(central_symmetral(cand.body))
-    bad = []
-    for w in cand.cert.witnesses:
-        if w.y != 0 and gauge(dual, w) < 1:
-            bad.append(w if w.y > 0 else -w)
-    return bad
-
-
 def edge_push(cand: Candidate) -> Candidate:
     """Shrink the primal vertex of the first slack dual edge toward the
-    origin until a new contact constraint becomes tight.
+    origin until a new contact constraint becomes tight: one exact solve,
+    then one re-certification, which raises InternalInvariantViolation if
+    the rebuilt polygon is not in A(t).
 
     Raises NoSlackEdge when the relative interior of every dual edge already
     carries a contact point, and NotNormalized (from `contact_set`) for an
@@ -227,26 +191,20 @@ def edge_push(cand: Candidate) -> Candidate:
     f = vs[i]
     others = [v for k, v in enumerate(vs) if k != i]
 
-    extra = []
-    for _ in range(_MAX_AUGMENT):
-        mu = Fraction(0)
-        for z, bound, _eq in _lattice_constraints(cand, extra):
-            for side in (z, -z):
-                a, M = _support_parts(vs, i, side)
-                a_op, M_op = _support_parts(vs, i, -side)
-                floor_here = max(M, Fraction(0)) if a > 0 else M
-                floor_op = max(M_op, Fraction(0)) if a_op > 0 else M_op
-                if a <= 0 or (floor_here + floor_op) / 2 >= bound:
-                    continue
-                mu = max(mu, (2 * bound - M_op) / a)
-        pts = others + ([f * mu] if mu > 0 else [vec(0, 0)])
-        nxt = _rebuild(cand, pts)
-        if nxt.feasible:
-            return nxt
-        extra.extend(_violating_reps(nxt))
-        if not extra:
-            raise InternalInvariantViolation("push overshoot with no violating witness")
-    raise InternalInvariantViolation("push did not stabilize")
+    mu = Fraction(0)
+    for z, bound, _eq in _lattice_constraints(cand):
+        for side in (z, -z):
+            a, M = _support_parts(vs, i, side)
+            a_op, M_op = _support_parts(vs, i, -side)
+            floor_here = max(M, Fraction(0)) if a > 0 else M
+            floor_op = max(M_op, Fraction(0)) if a_op > 0 else M_op
+            if a <= 0 or (floor_here + floor_op) / 2 >= bound:
+                continue
+            mu = max(mu, (2 * bound - M_op) / a)
+    nxt = _rebuild(cand, others + ([f * mu] if mu > 0 else [vec(0, 0)]))
+    if not nxt.feasible:
+        raise InternalInvariantViolation("push left A(t)")
+    return nxt
 
 
 def _combinatorial_taus(vs, i, w):
@@ -281,6 +239,9 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
 
     In primal terms the vertex slides along the rational line <x, u> = 1, so
     the stopping constraint is solved exactly; no trigonometry is involved.
+    tau is the least stop, with no ceiling, and ties go to a constraint over
+    a vertex collision; InternalInvariantViolation is raised when nothing
+    stops the slide or when the re-certified result is not in A(t).
     The volume is linear along the slide and must not increase in the
     requested direction.  Returns the input unchanged when the first
     constraint is tight already at tau = 0.  With explain=True the result is
@@ -303,37 +264,29 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
         raise NotRotatable("requested direction increases the volume")
     others = [v for k, v in enumerate(vs) if k != i]
 
-    extra = []
-    for _ in range(_MAX_AUGMENT):
-        tau = _FAR
-        reason = None
-        for z, bound, eq in _lattice_constraints(cand, extra):
-            a, M = _support_parts(vs, i, z)
-            a2, M2 = _support_parts(vs, i, -z)
-            limit = _tau_limit(a, w.dot(z), M, a2, w.dot(-z), M2, bound, eq)
-            if limit < tau:
-                tau = limit
-                if eq:
-                    reason = "witness-e1" if z == E1 else "witness-e2"
-                else:
-                    reason = f"lattice-gauge({int(z.x)},{int(z.y)})"
-        for comb in _combinatorial_taus(vs, i, w):
-            if comb < tau:
-                tau, reason = comb, "vertex-collision"
-        if tau == _FAR:
-            raise InternalInvariantViolation("rotation found no stopping constraint")
-        if tau == 0:
-            return (cand, reason) if explain else cand
-        try:
-            nxt = _rebuild(cand, others + [f + tau * w])
-        except DegenerateInput:
-            raise InternalInvariantViolation("rotation collapsed the polygon")
-        if nxt.feasible:
-            return (nxt, reason) if explain else nxt
-        extra.extend(_violating_reps(nxt))
-        if not extra:
-            raise InternalInvariantViolation("rotation overshoot with no violating witness")
-    raise InternalInvariantViolation("rotation did not stabilize")
+    stops = []
+    for z, bound, eq in _lattice_constraints(cand):
+        a, M = _support_parts(vs, i, z)
+        a2, M2 = _support_parts(vs, i, -z)
+        limit = _tau_limit(a, w.dot(z), M, a2, w.dot(-z), M2, bound, eq)
+        if limit is not None:
+            if eq:
+                stops.append((limit, "witness-e1" if z == E1 else "witness-e2"))
+            else:
+                stops.append((limit, f"lattice-gauge({int(z.x)},{int(z.y)})"))
+    stops += [(comb, "vertex-collision") for comb in _combinatorial_taus(vs, i, w)]
+    if not stops:
+        raise InternalInvariantViolation("rotation found no stopping constraint")
+    tau, reason = min(stops, key=lambda stop: stop[0])
+    if tau == 0:
+        return (cand, reason) if explain else cand
+    try:
+        nxt = _rebuild(cand, others + [f + tau * w])
+    except DegenerateInput:
+        raise InternalInvariantViolation("rotation collapsed the polygon")
+    if not nxt.feasible:
+        raise InternalInvariantViolation("rotation left A(t)")
+    return (nxt, reason) if explain else nxt
 
 
 def balance_triangle(cand: Candidate):

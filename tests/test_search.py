@@ -1,10 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import polarmin as pm
-from polarmin import Body, FamilySpec, NoFeasibleStart, NoSlackEdge, NotRotatable, vec
+from polarmin import Body, FamilySpec, InternalInvariantViolation, NoFeasibleStart, \
+    NoSlackEdge, NotRotatable, search, vec
 from polarmin.search import sample_feasible
 
 T11 = pm.make(FamilySpec("T_st", {"s": 1, "t": 1}))
@@ -286,6 +288,40 @@ class TestMoveFuzz:
                 assert target <= cand.volume <= prev.volume
                 assert 3 <= len(cand.body.polygon.vertices) <= 6
         assert cands == 10
+
+
+class TestMoveSolve:
+    def test_tau_limit_has_no_ceiling(self):
+        # (max(0, 4 - tau/10^10) + 0)/2 falls to 1 at tau = 2 * 10^10
+        assert search._tau_limit(4, F(-1, 10**10), 0, 0, 0, 0, 1, False) == 2 * 10**10
+
+    def test_constraint_that_never_binds_has_no_limit(self):
+        # (max(0, 4 + tau) + 0)/2 only grows, and (max(1, -tau) + 1)/2 stays flat
+        assert search._tau_limit(4, 1, 0, 0, 0, 0, 1, False) is None
+        assert search._tau_limit(0, -1, 1, 1, 0, 0, 1, True) is None
+
+    def test_rebuild_outside_At_raises(self, monkeypatch):
+        # each move solves once and re-certifies; a rebuilt candidate
+        # outside A(t) is an invariant violation, never a returned result
+        cand = sample_feasible(random.Random("move-solve"), 1)
+        vs = cand.body.polygon.vertices
+        n = len(vs)
+        rotations = []
+        for i in range(n):
+            u = search.rotatable_contact(cand, i)
+            if u is not None:
+                base = u.perp().cross(vs[(i + 1) % n] - vs[(i - 1) % n])
+                if base != 0:
+                    rotations.append((i, -1 if base > 0 else 1))
+        assert pm.edge_push(cand).volume < cand.volume
+        assert pm.edge_rotate(cand, *rotations[0]) is not cand
+        rebuild = search._rebuild
+        monkeypatch.setattr(search, "_rebuild", lambda c, pts: dataclasses.replace(
+            rebuild(c, pts), feasible=False))
+        with pytest.raises(InternalInvariantViolation):
+            pm.edge_push(cand)
+        with pytest.raises(InternalInvariantViolation):
+            pm.edge_rotate(cand, *rotations[0])
 
 
 class TestCandidateGeometry:

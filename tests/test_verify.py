@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -192,6 +193,25 @@ class TestSuiteInvariants:
         assert not shifted.contains_origin("open")
         standard_checks(shifted, random_normals("shift", 20))
         assert len(calls) == len(set(calls)) == 3
+
+    def test_checks_and_descents_leave_no_reference_cycles(self, corpus60):
+        # no memo refers back to its body (a polar to the body it is the
+        # polar of, a centroid-0 body to itself), so reference counting
+        # frees bodies, memos and candidates without the cycle collector
+        gc.collect()
+        gc.disable()
+        try:
+            for K in corpus60[:5]:
+                for body in (pm.Body(poly=K.polygon), pm.translate(K, vec(5, F(-2, 3)))):
+                    standard_checks(body, random_normals("cycles", 4))
+            del body
+            for seed in range(4):
+                cand = pm.search.sample_feasible(random.Random(f"cycles-{seed}"), 1)
+                pm.descend(cand, 20)
+            del cand
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_each_body_area_computed_once(self, monkeypatch, corpus60):
         # K, K° and cs(K)° each have their area taken once (K is centered),
