@@ -144,10 +144,15 @@ def support(K, u: Vec2) -> Fraction:
 def _polar_dirs(K: Body) -> tuple:
     # Vertices of the polar body, one per edge of K, in edge order but
     # without hull work: the edge {<n,x> = c} of K dualizes to the point n/c.
+    # Over the integer form, n = (Y_{i+1} - Y_i, X_i - X_{i+1})/L and
+    # c = C_i/L^2, so n/c = L (Y_{i+1} - Y_i, X_i - X_{i+1})/C_i.
     if K._polar_dirs is None:
         if not K.contains_origin("open"):
             raise OriginNotInterior("gauge/polar need the origin strictly inside")
-        K._polar_dirs = tuple(n * (1 / c) for n, c in core.edge_halfplanes(K.polygon))
+        pts, L = core.integer_form(K.polygon)
+        K._polar_dirs = tuple(
+            Vec2(Fraction(L * (y1 - y0), c), Fraction(L * (x0 - x1), c))
+            for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], core.cross_terms(pts)))
     return K._polar_dirs
 
 

@@ -4,10 +4,19 @@ Every coordinate is a `fractions.Fraction` and every predicate is decided by
 exact sign computations, so tangency, collinearity and equality of areas are
 detected exactly rather than to within a tolerance.  Polygons are stored as
 strictly convex counterclockwise vertex lists.
+
+Each polygon also has one integer form, built on first use and kept in its
+slot: the vertices as integers (X_i, Y_i) over the lcm L of every coordinate
+denominator.  The area and the centroid are shoelace sums over its cross
+terms, a membership test is one integer sign per edge, and a halfplane cut
+area is one shoelace sum over the kept vertices and the edge crossings, so
+each builds one Fraction per coordinate of its result, or none, instead of
+one per step.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -118,16 +127,19 @@ class VPolygon:
     """Strictly convex polygon, vertices counterclockwise, no three collinear.
 
     The vertex tuple is canonicalized (lexicographically smallest vertex
-    first), so two polygons describing the same set compare equal.
+    first), so two polygons describing the same set compare equal.  The
+    integer form of `integer_form` is memoized in a slot and freed with the
+    polygon.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_integer")
 
     def __init__(self, vertices: Sequence[Vec2], _trusted: bool = False):
         vs = tuple(vertices)
         if not _trusted:
             vs = _validated_ccw(vs)
         object.__setattr__(self, "vertices", _canonical_rotation(vs))
+        object.__setattr__(self, "_integer", None)
 
     def __eq__(self, other):
         return isinstance(other, VPolygon) and self.vertices == other.vertices
@@ -201,37 +213,60 @@ def convex_hull(points: Iterable[Vec2]) -> VPolygon:
     return VPolygon(hull, _trusted=True)
 
 
+def _over_lcm(qs: Sequence[Fraction]) -> tuple:
+    """(ints, M): the rationals qs as integers over their least common
+    denominator M, so qs[i] = ints[i] / M."""
+    M = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (M // q.denominator) for q in qs], M
+
+
+def integer_form(p: VPolygon) -> tuple:
+    """(pts, L): the vertices as integer pairs (X_i, Y_i) = L * v_i, L the
+    least common denominator of every coordinate; memoized on the polygon."""
+    if p._integer is None:
+        ints, L = _over_lcm([c for v in p.vertices for c in (v.x, v.y)])
+        object.__setattr__(p, "_integer", (tuple(zip(ints[::2], ints[1::2])), L))
+    return p._integer
+
+
+def cross_terms(pts: Sequence) -> list:
+    """C_i = X_i Y_{i+1} - X_{i+1} Y_i over consecutive points, cyclically."""
+    return [x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
+
+
 def area(p: VPolygon) -> Fraction:
-    """Exact area by the shoelace formula (positive: vertices are CCW)."""
-    vs = p.vertices
-    s = Fraction(0)
-    for i in range(len(vs)):
-        s += vs[i].cross(vs[(i + 1) % len(vs)])
-    return s / 2
+    """Exact area by the integer shoelace sum, sum C_i / (2 L^2) (positive:
+    vertices are CCW)."""
+    pts, L = integer_form(p)
+    return Fraction(sum(cross_terms(pts)), 2 * L * L)
 
 
 def centroid(p: VPolygon) -> Vec2:
-    """Exact area-weighted centroid."""
-    vs = p.vertices
-    a = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for i in range(len(vs)):
-        u, w = vs[i], vs[(i + 1) % len(vs)]
-        c = u.cross(w)
-        a += c
-        cx += (u.x + w.x) * c
-        cy += (u.y + w.y) * c
-    return Vec2(cx / (3 * a), cy / (3 * a))
+    """Exact area-weighted centroid, sum (P_i + P_{i+1}) C_i / (3 L sum C_i)
+    over the integer points P_i."""
+    pts, L = integer_form(p)
+    cs = cross_terms(pts)
+    cx = cy = 0
+    for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], cs):
+        cx += (x0 + x1) * c
+        cy += (y0 + y1) * c
+    den = 3 * L * sum(cs)
+    return Vec2(Fraction(cx, den), Fraction(cy, den))
 
 
 def contains(p: VPolygon, q: Vec2, mode: str = "closed") -> bool:
-    """Exact membership test; mode "open" tests interior membership."""
+    """Exact membership test; mode "open" tests interior membership.
+
+    With q = (P, Q)/M over the integer form of p, the sign of
+    orient(v_i, v_{i+1}, q) is that of
+    (X_{i+1} - X_i)(Q L - Y_i M) - (Y_{i+1} - Y_i)(P L - X_i M),
+    which is the cross term C_i at the origin."""
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-    vs = p.vertices
-    for i in range(len(vs)):
-        s = orient(vs[i], vs[(i + 1) % len(vs)], q)
+    pts, L = integer_form(p)
+    (P, Q), M = _over_lcm((q.x, q.y))
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        s = (x1 - x0) * (Q * L - y0 * M) - (y1 - y0) * (P * L - x0 * M)
         if s < 0 or (mode == "open" and s == 0):
             return False
     return True
@@ -380,6 +415,7 @@ def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
     """Exact clip of a polygon by {x : <a, x> <= c}, built without a hull.
 
     Returns None when the clipped region is empty or lower-dimensional.
+    `cut_area` gives its area, or 0 for None, without building it.
     """
     c = rat(c)
     vs = p.vertices
@@ -397,3 +433,38 @@ def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
     # points include one strictly inside the halfplane and are strictly
     # convex, in CCW boundary order.
     return VPolygon(out, _trusted=True) if len(out) >= 3 else None
+
+
+def cut_area(p: VPolygon, a: Vec2, c) -> Fraction:
+    """Area of p ∩ {x : <a, x> <= c}, equal to area(clip_halfplane(p, a, c))
+    and 0 where that clip is None, from the integer form of p alone.
+
+    With a and c scaled to integers (A, B) and C, the sign of
+    s_i = A X_i + B Y_i - C L is that of <a, v_i> - c.  The vertices with
+    s_i <= 0 are kept and each strict sign change along the edge (U, W)
+    adds the crossing (s_u W - s_w U)/(s_u - s_w), in the order of
+    `clip_halfplane`; the cross products of consecutive points are summed
+    over the product D of the crossings' denominators, and the one Fraction
+    built is that sum over 2 L^2 D.
+    """
+    pts, L = integer_form(p)
+    (A, B, C), _ = _over_lcm((a.x, a.y, rat(c)))
+    s = [A * x + B * y - C * L for x, y in pts]
+    out = []  # (x, y, d): the point (x, y)/(d L)
+    D = 1
+    n = len(pts)
+    for i in range(n):
+        su, sw = s[i], s[(i + 1) % n]
+        if su <= 0:
+            out.append((*pts[i], 1))
+        if (su < 0 < sw) or (sw < 0 < su):
+            (xu, yu), (xw, yw) = pts[i], pts[(i + 1) % n]
+            d = su - sw
+            out.append((su * xw - sw * xu, su * yw - sw * yu, d))
+            D *= d
+    if len(out) < 3:
+        return Fraction(0)
+    total = 0
+    for (x0, y0, d0), (x1, y1, d1) in zip(out, out[1:] + out[:1]):
+        total += (x0 * y1 - x1 * y0) * (D // (d0 * d1))
+    return Fraction(total, 2 * L * L * D)

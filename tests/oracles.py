@@ -22,6 +22,58 @@ def shoelace(points) -> Fraction:
     return abs(s) / 2
 
 
+def signed_area(ccw_vertices) -> Fraction:
+    """Shoelace area of a CCW polygon given as (x, y) tuples, summed one
+    Fraction cross product at a time."""
+    s = Fraction(0)
+    n = len(ccw_vertices)
+    for i in range(n):
+        (x0, y0), (x1, y1) = ccw_vertices[i], ccw_vertices[(i + 1) % n]
+        s += Fraction(x0) * y1 - Fraction(x1) * y0
+    return s / 2
+
+
+def area_centroid(ccw_vertices):
+    """(x, y) of the area-weighted centroid: sum (v_i + v_{i+1}) c_i over
+    3 sum c_i, with c_i the cross product of consecutive vertices, one
+    Fraction step at a time."""
+    a = cx = cy = Fraction(0)
+    n = len(ccw_vertices)
+    for i in range(n):
+        (x0, y0), (x1, y1) = ccw_vertices[i], ccw_vertices[(i + 1) % n]
+        c = Fraction(x0) * y1 - Fraction(x1) * y0
+        a += c
+        cx += (x0 + x1) * c
+        cy += (y0 + y1) * c
+    return cx / (3 * a), cy / (3 * a)
+
+
+def orient_contains(ccw_vertices, q, mode="closed") -> bool:
+    """Whether q is left of, or for mode "closed" on, every directed edge,
+    by the Fraction orientation of each edge and q."""
+    n = len(ccw_vertices)
+    for i in range(n):
+        (x0, y0), (x1, y1) = ccw_vertices[i], ccw_vertices[(i + 1) % n]
+        s = (Fraction(x1) - x0) * (q[1] - y0) - (Fraction(y1) - y0) * (q[0] - x0)
+        if s < 0 or (mode == "open" and s == 0):
+            return False
+    return True
+
+
+def polar_directions(ccw_vertices):
+    """n/c for each edge row <n, x> <= c of a CCW polygon with interior
+    origin, n = (y1 - y0, x0 - x1) the outward normal of the edge from
+    (x0, y0) to (x1, y1) and c = <n, (x0, y0)>, in edge order."""
+    out = []
+    n = len(ccw_vertices)
+    for i in range(n):
+        (x0, y0), (x1, y1) = ccw_vertices[i], ccw_vertices[(i + 1) % n]
+        nx, ny = Fraction(y1) - y0, Fraction(x0) - x1
+        c = nx * x0 + ny * y0
+        out.append((nx / c, ny / c))
+    return out
+
+
 def edge_gauge(ccw_vertices, z) -> Fraction:
     """Gauge of z from the edge constraints of a CCW polygon with interior
     origin: max over edges of <n_e, z> / c_e."""

@@ -5,13 +5,18 @@ The bodies are corpus polygons, rational n-gons with up to 48 vertices
 moved to their centroid) and unimodular shears of corpus polygons; the
 minima are also checked on products of shears, swaps and signs of those.
 The clips and affine images, built without a hull, are checked against
-the hull of the same points.  The contact maps are checked on feasible
+the hull of the same points, and the integer-form cut areas against the
+shoelace of that hull.  The integer-form area, centroid, membership test and
+polar directions are checked against Fraction loops over the vertices, also
+on a polygon with coordinates near 10^300 and on a 256-gon.  The contact maps are checked on feasible
 search candidates, and the halfplane intersection on small random row sets
 and on the shuffled edge rows of the bodies.
 """
 
 import random
 from fractions import Fraction as F
+
+import pytest
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -20,8 +25,9 @@ from polarmin import Body, HPolytope, vec
 from polarmin.minima import witness_key
 from polarmin.search import sample_feasible
 
-from oracles import _hull, clip_hull, contact_points, edge_gauge, \
-    halfplane_vertices, pairwise_symmetral, short_vectors
+from oracles import _hull, area_centroid, clip_hull, contact_points, edge_gauge, \
+    halfplane_vertices, orient_contains, pairwise_symmetral, polar_directions, \
+    shoelace, short_vectors, signed_area
 from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
@@ -52,6 +58,19 @@ def shears(draw):
         else pm.Transform2.linear(1, k, 0, 1)
     return pm.apply_transform(T, K)
 
+
+def _centered_hull(points):
+    poly = pm.convex_hull(points)
+    return pm.translate(Body(poly=poly), -pm.centroid(poly))
+
+
+# coordinates near 10^300 with mixed denominators, and every point of the
+# rational circle parametrization at s = k/64, k = -128..127, stretched
+HUGE = _centered_hull([vec(F(10**300, 7), 1), vec(-F(10**300, 3), F(10**299, 11)),
+                       vec(2, -10**300), vec(F(10**300 + 1, 13), F(10**300, 17))])
+NGON256 = _centered_hull(vec(p.x * F(3, 2), p.y * F(2, 3))
+                         for p in map(_circle_point, (F(k, 64) for k in range(-128, 128))))
+assert len(HUGE.polygon) == 4 and len(NGON256.polygon) == 256
 
 bodies = st.one_of(st.sampled_from(CORPUS), ngons(), shears())
 unimodular = st.integers(0, 2**32).map(lambda seed: random_unimodular(random.Random(seed)))
@@ -173,6 +192,76 @@ def test_clip_matches_clip_and_hull_oracle(K, data):
         assert got is None
     if kind == "contain":
         assert got == K.polygon
+
+
+ratios = st.fractions(-3, 3, max_denominator=5)
+
+
+@settings(max_examples=200)
+@given(bodies, st.sampled_from(["vertex", "edge", "miss", "contain", "between"]),
+       st.integers(0, 10**6), st.tuples(ratios, ratios).filter(lambda a: a != (0, 0)),
+       st.fractions(0, 3, max_denominator=6))
+@example(HUGE, "between", 0, (F(1, 3), F(-2, 5)), F(1, 2))
+@example(HUGE, "edge", 2, (F(-3, 2), 0), 0)
+@example(NGON256, "vertex", 40, (1, F(1, 2)), 0)
+@example(NGON256, "edge", 9, (F(2, 3), 1), 0)
+def test_cut_area_matches_shoelace_of_clip_and_hull_oracle(K, kind, i, a, gap):
+    # rational a and c: through a vertex, along an edge with K on either
+    # side (a's sign), missing K, containing it, or anywhere in between
+    vs = _tuples(K)
+    values = sorted(a[0] * x + a[1] * y for x, y in vs)
+    if kind == "edge":
+        (x0, y0), (x1, y1) = vs[i % len(vs)], vs[(i + 1) % len(vs)]
+        r = a[0] or a[1]
+        a = (r * (y1 - y0), r * (x0 - x1))
+        c = a[0] * x0 + a[1] * y0
+    elif kind == "vertex":
+        c = values[i % len(vs)]
+    elif kind == "miss":
+        c = values[0] - gap - F(1, 7)
+    elif kind == "contain":
+        c = values[-1] + gap
+    else:
+        c = values[0] + (values[-1] - values[0]) * gap / 3
+    got = pm.cut_area(K.polygon, vec(*a), c)
+    hull = clip_hull(vs, a, c)
+    assert got == (0 if hull is None else shoelace(hull))
+    if kind == "miss":
+        assert got == 0
+    if kind == "contain":
+        assert got == pm.area(K.polygon)
+
+
+points = st.tuples(st.fractions(-3, 3, max_denominator=7), st.fractions(-3, 3, max_denominator=7))
+
+
+@given(bodies, st.sampled_from(["centered", "vertex", "edge", "outside"]),
+       st.integers(0, 10**6), points)
+@example(HUGE, "centered", 0, (F(10**300, 9), 0))
+@example(HUGE, "vertex", 1, (0, 0))
+@example(NGON256, "centered", 0, (F(3, 2), 0))
+@example(NGON256, "edge", 7, (F(1, 3), F(1, 7)))
+def test_integer_kernel_matches_fraction_loops(K, origin, i, q):
+    # the origin moved onto a vertex, onto the middle of an edge, or out
+    vs = _tuples(K)
+    (x0, y0), (x1, y1) = vs[i % len(vs)], vs[(i + 1) % len(vs)]
+    shift = {"centered": (0, 0), "vertex": (-x0, -y0),
+             "edge": (-(x0 + x1) / 2, -(y0 + y1) / 2),
+             "outside": (-2 * x0, -2 * y0)}[origin]
+    fresh = pm.translate(K, vec(*shift))
+    vs = _tuples(fresh)
+    assert pm.area(fresh.polygon) == signed_area(vs)
+    assert pm.centroid(fresh.polygon) == vec(*area_centroid(vs))
+    for mode in ("closed", "open"):
+        for z in ((0, 0), q, vs[i % len(vs)]):
+            assert pm.contains(fresh.polygon, vec(*z), mode) == orient_contains(vs, z, mode)
+    inside = fresh.contains_origin("open")
+    assert inside == (origin == "centered")
+    if inside:
+        assert [(w.x, w.y) for w in pm.body._polar_dirs(fresh)] == polar_directions(vs)
+    else:
+        with pytest.raises(pm.OriginNotInterior):
+            pm.polar(fresh)
 
 
 @st.composite

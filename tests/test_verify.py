@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -215,24 +217,36 @@ class TestSuiteInvariants:
 
     def test_each_body_area_computed_once(self, monkeypatch, corpus60):
         # K, K° and cs(K)° each have their area taken once (K is centered),
-        # and each Grünbaum cut shoelaces its clipped polygon
+        # and each Grünbaum cut is one cut_area sum, with no clipped polygon
         calls = []
         inner = pm.core.area
-        counted = lambda p: calls.append(p) or inner(p)
-        monkeypatch.setattr(pm.core, "area", counted)
-        monkeypatch.setattr(pm.verify, "area", counted)
+        monkeypatch.setattr(pm.core, "area", lambda p: calls.append(p) or inner(p))
         clips = []
-        clip = pm.verify.clip_halfplane
-        monkeypatch.setattr(pm.verify, "clip_halfplane",
-                            lambda *a: clips.append(clip(*a)) or clips[-1])
+        clip = pm.core.clip_halfplane
+        monkeypatch.setattr(pm.core, "clip_halfplane",
+                            lambda *a: clips.append(a) or clip(*a))
+        cuts = []
+        cut = pm.verify.cut_area
+        monkeypatch.setattr(pm.verify, "cut_area", lambda *a: cuts.append(a) or cut(*a))
         K = pm.Body(poly=corpus60[0].polygon)
         assert pm.centered(K) is K
-        standard_checks(K, random_normals("areas", 20))
-        assert len(clips) == 20 and None not in clips
-        bodies = {K.polygon, pm.polar(K).polygon,
-                  pm.polar(pm.central_symmetral(K)).polygon}
-        assert len(calls) == len(bodies) + len(clips)
-        assert set(calls) == bodies | set(clips)
+        normals = random_normals("areas", 20)
+        standard_checks(K, normals)
+        assert clips == []
+        assert cuts == [(K.polygon, -a, 0) for a in normals]
+        bodies = [K.polygon, pm.polar(K).polygon,
+                  pm.polar(pm.central_symmetral(K)).polygon]
+        assert len(calls) == 3 and set(calls) == set(bodies)
+
+    def test_reports_match_recorded_digest(self):
+        # every report, Grünbaum cut areas included, of 40 corpus bodies and
+        # the family grid with 20 normals each
+        bodies = pm.random_bodies(7, 40) + [K for _, K in builtin_family_grid()]
+        reports = [[r.to_json() for r in standard_checks(K, random_normals(i, 20))]
+                   for i, K in enumerate(bodies)]
+        assert sum(r["check"] == "gruenbaum" for rs in reports for r in rs) == 1100
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == "a1feadae68685b5bb71140b608670facb4335c0f742ee83eded82a7b3f8fa02c"
 
     def test_checks_of_a_centered_body_build_no_hull(self, monkeypatch, corpus60):
         # each Grünbaum cut is the clip sequence itself, and every polar and
