@@ -6,18 +6,18 @@ moved to their centroid) and unimodular shears of corpus polygons; the
 minima are also checked on products of shears, swaps and signs of those.
 The clips and affine images, built without a hull, are checked against
 the hull of the same points, and the integer-form cut areas against the
-shoelace of that hull.  The integer-form area, centroid, membership test and
-polar directions are checked against Fraction loops over the vertices, also
-on a polygon with coordinates near 10^300 and on a 256-gon.  The contact maps are checked on feasible
-search candidates, and the halfplane intersection on small random row sets
-and on the shuffled edge rows of the bodies.
+shoelace of that hull.  The integer-form area, centroid, membership test
+and polar directions are checked against Fraction loops over the vertices,
+also on a polygon with coordinates near 10^300 and on a 256-gon.  The
+contact maps are checked on feasible search candidates, and the halfplane
+intersection on small random row sets and on the shuffled edge rows of the
+bodies.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
-
 from hypothesis import assume, example, given, settings, strategies as st
 
 import polarmin as pm

@@ -249,8 +249,9 @@ class TestSuiteInvariants:
         assert digest == "a1feadae68685b5bb71140b608670facb4335c0f742ee83eded82a7b3f8fa02c"
 
     def test_checks_of_a_centered_body_build_no_hull(self, monkeypatch, corpus60):
-        # each Grünbaum cut is the clip sequence itself, and every polar and
-        # symmetral is read off edges, so no check hulls a point set
+        # each Grünbaum cut is a sum over the kept vertices and crossings,
+        # and every polar and symmetral is read off edges, so no check hulls
+        # a point set
         calls = []
         inner = pm.core.convex_hull
         counted = lambda pts: calls.append(pts) or inner(pts)
