@@ -12,7 +12,7 @@ from .body import Body, Transform2, apply_transform, as_body, centered, \
     support, translate
 from .core import E1, E2, ORIGIN, HPolytope, Rat, Vec2, VPolygon, area, centroid, \
     clip_halfplane, contains, convex_hull, cut_area, dec_str, edge_halfplanes, \
-    halfplane_intersect, integer_form, rat, rat_str, vec
+    halfplane_intersect, rat, rat_str, vec
 from .errors import BadParams, DegenerateInput, Empty, GeometryError, \
     InternalInvariantViolation, LimitExceeded, NoClosedForm, NoFeasibleStart, \
     NoSlackEdge, NotNormalized, NotRotatable, OriginNotInterior, \

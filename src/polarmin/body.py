@@ -152,7 +152,7 @@ def _polar_dirs(K: Body) -> tuple:
         pts, L = core.integer_form(K.polygon)
         K._polar_dirs = tuple(
             Vec2(Fraction(L * (y1 - y0), c), Fraction(L * (x0 - x1), c))
-            for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], core.cross_terms(pts)))
+            for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], core._cross_terms(pts)))
     return K._polar_dirs
 
 

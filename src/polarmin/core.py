@@ -8,10 +8,10 @@ strictly convex counterclockwise vertex lists.
 Each polygon also has one integer form, built on first use and kept in its
 slot: the vertices as integers (X_i, Y_i) over the lcm L of every coordinate
 denominator.  The area and the centroid are shoelace sums over its cross
-terms, a membership test is one integer sign per edge, and a halfplane cut
-area is one shoelace sum over the kept vertices and the edge crossings, so
-each builds one Fraction per coordinate of its result, or none, instead of
-one per step.
+terms, a membership test is one integer sign per edge, a halfplane clip is
+one integer scan for the kept vertices and the edge crossings, and a cut
+area is one shoelace sum over that scan, so each builds one Fraction per
+coordinate of its result, or none, instead of one per step.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def integer_form(p: VPolygon) -> tuple:
     return p._integer
 
 
-def cross_terms(pts: Sequence) -> list:
+def _cross_terms(pts: Sequence) -> list:
     """C_i = X_i Y_{i+1} - X_{i+1} Y_i over consecutive points, cyclically."""
     return [x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
 
@@ -238,14 +238,14 @@ def area(p: VPolygon) -> Fraction:
     """Exact area by the integer shoelace sum, sum C_i / (2 L^2) (positive:
     vertices are CCW)."""
     pts, L = integer_form(p)
-    return Fraction(sum(cross_terms(pts)), 2 * L * L)
+    return Fraction(sum(_cross_terms(pts)), 2 * L * L)
 
 
 def centroid(p: VPolygon) -> Vec2:
     """Exact area-weighted centroid, sum (P_i + P_{i+1}) C_i / (3 L sum C_i)
     over the integer points P_i."""
     pts, L = integer_form(p)
-    cs = cross_terms(pts)
+    cs = _cross_terms(pts)
     cx = cy = 0
     for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], cs):
         cx += (x0 + x1) * c
@@ -411,47 +411,19 @@ def halfplane_intersect(h: HPolytope) -> VPolygon:
         raise Empty("intersection is lower-dimensional") from None
 
 
-def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
-    """Exact clip of a polygon by {x : <a, x> <= c}, built without a hull.
-
-    Returns None when the clipped region is empty or lower-dimensional.
-    `cut_area` gives its area, or 0 for None, without building it.
-    """
-    c = rat(c)
-    vs = p.vertices
-    out = []
-    for i in range(len(vs)):
-        u, w = vs[i], vs[(i + 1) % len(vs)]
-        fu, fw = a.dot(u) - c, a.dot(w) - c
-        if fu <= 0:
-            out.append(u)
-        if (fu < 0 < fw) or (fw < 0 < fu):
-            t = fu / (fu - fw)
-            out.append(u + t * (w - u))
-    # A line meets a strictly convex boundary in at most two points or one
-    # edge, and a crossing lies strictly inside its edge, so 3 or more kept
-    # points include one strictly inside the halfplane and are strictly
-    # convex, in CCW boundary order.
-    return VPolygon(out, _trusted=True) if len(out) >= 3 else None
-
-
-def cut_area(p: VPolygon, a: Vec2, c) -> Fraction:
-    """Area of p ∩ {x : <a, x> <= c}, equal to area(clip_halfplane(p, a, c))
-    and 0 where that clip is None, from the integer form of p alone.
+def _clip_points(p: VPolygon, a: Vec2, c) -> tuple:
+    """(out, L): the boundary points of p ∩ {x : <a, x> <= c} in CCW order
+    over the integer form of p, each as (x, y, d), the point (x, y)/(d L).
 
     With a and c scaled to integers (A, B) and C, the sign of
     s_i = A X_i + B Y_i - C L is that of <a, v_i> - c.  The vertices with
     s_i <= 0 are kept and each strict sign change along the edge (U, W)
-    adds the crossing (s_u W - s_w U)/(s_u - s_w), in the order of
-    `clip_halfplane`; the cross products of consecutive points are summed
-    over the product D of the crossings' denominators, and the one Fraction
-    built is that sum over 2 L^2 D.
+    adds the crossing (s_u W - s_w U)/(s_u - s_w).
     """
     pts, L = integer_form(p)
     (A, B, C), _ = _over_lcm((a.x, a.y, rat(c)))
     s = [A * x + B * y - C * L for x, y in pts]
-    out = []  # (x, y, d): the point (x, y)/(d L)
-    D = 1
+    out = []
     n = len(pts)
     for i in range(n):
         su, sw = s[i], s[(i + 1) % n]
@@ -459,11 +431,39 @@ def cut_area(p: VPolygon, a: Vec2, c) -> Fraction:
             out.append((*pts[i], 1))
         if (su < 0 < sw) or (sw < 0 < su):
             (xu, yu), (xw, yw) = pts[i], pts[(i + 1) % n]
-            d = su - sw
-            out.append((su * xw - sw * xu, su * yw - sw * yu, d))
-            D *= d
+            out.append((su * xw - sw * xu, su * yw - sw * yu, su - sw))
+    return out, L
+
+
+def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
+    """Exact clip of a polygon by {x : <a, x> <= c}, built without a hull.
+
+    Returns None when the clipped region is empty or lower-dimensional.
+    `cut_area` gives its area, or 0 for None, without building it.
+    """
+    out, L = _clip_points(p, a, c)
+    # A line meets a strictly convex boundary in at most two points or one
+    # edge, and a crossing lies strictly inside its edge, so 3 or more kept
+    # points include one strictly inside the halfplane and are strictly
+    # convex, in CCW boundary order.
+    if len(out) < 3:
+        return None
+    return VPolygon([Vec2(Fraction(x, d * L), Fraction(y, d * L)) for x, y, d in out],
+                    _trusted=True)
+
+
+def cut_area(p: VPolygon, a: Vec2, c) -> Fraction:
+    """Area of p ∩ {x : <a, x> <= c}, equal to area(clip_halfplane(p, a, c))
+    and 0 where that clip is None, without building the clip.
+
+    The cross products of consecutive points of `_clip_points` are summed
+    over the product D of their denominators d, and the one Fraction built
+    is that sum over 2 L^2 D.
+    """
+    out, L = _clip_points(p, a, c)
     if len(out) < 3:
         return Fraction(0)
+    D = math.prod(d for _, _, d in out)
     total = 0
     for (x0, y0, d0), (x1, y1, d1) in zip(out, out[1:] + out[:1]):
         total += (x0 * y1 - x1 * y0) * (D // (d0 * d1))

@@ -16,6 +16,22 @@ T11 = Body.from_points([vec(-1, 0), vec(1, 1), vec(0, -1)])
 T23 = Body.from_points([vec(-2, 1), vec(2, 3), vec(0, -3)])
 
 
+def _probe_integer_form(monkeypatch):
+    """(reads, builds): the polygons whose integer form is read, and those
+    for which it is built rather than taken from the polygon's slot."""
+    reads, builds = [], []
+    inner = pm.core.integer_form
+
+    def probe(p):
+        reads.append(p)
+        if p._integer is None:
+            builds.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(pm.core, "integer_form", probe)
+    return reads, builds
+
+
 class TestSuccessiveMinima:
     def test_cross_polytope(self):
         cert = pm.successive_minima(CROSS)
@@ -120,29 +136,28 @@ class TestReducedEnumeration:
     def test_reduced_image_reuses_the_gauge_rows(self, monkeypatch):
         # B⁻¹K takes its integer rows and its interior origin from K, so only
         # K's edges, through K's integer form, are read
-        calls = []
-        inner = pm.core.integer_form
-        monkeypatch.setattr(pm.core, "integer_form", lambda p: calls.append(p) or inner(p))
+        reads, builds = _probe_integer_form(monkeypatch)
         K = pm.apply_transform(pm.Transform2.linear(1, 200, 0, 1), SQUARE)
         cert = pm.successive_minima(K)
         assert cert.basis == (vec(1, 0), vec(200, 1))
         assert cert.witnesses == (vec(1, 0), vec(199, 1))
-        assert calls and all(p is K.polygon for p in calls)
+        assert builds == [K.polygon]
+        assert all(p is K.polygon for p in reads)
 
     def test_polar_takes_its_directions_from_the_body(self, monkeypatch):
         # the polar directions of K° are the vertices of K, so certifying K°
         # reads the edges of K (to build K°), through K's integer form, and
         # never those of K°
-        calls = []
-        inner = pm.core.integer_form
-        monkeypatch.setattr(pm.core, "integer_form", lambda p: calls.append(p) or inner(p))
+        reads, builds = _probe_integer_form(monkeypatch)
         for T, body in ((pm.Transform2.linear(1, 0, 7, 1), T23),
                         (pm.Transform2.linear(1, 200, 0, 1), SQUARE)):
             K = pm.apply_transform(T, body)
             expected = pm.successive_minima(pm.polar(body)).lambdas
-            calls.clear()
+            reads.clear()
+            builds.clear()
             assert pm.successive_minima(pm.polar(K)).lambdas == expected
-            assert calls and all(p is K.polygon for p in calls)
+            assert builds == [K.polygon]
+            assert all(p is K.polygon for p in reads)
 
     def test_standard_basis_kept_when_reduced(self):
         assert pm.successive_minima(CROSS).basis == (vec(1, 0), vec(0, 1))
