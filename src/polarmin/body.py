@@ -7,8 +7,8 @@ linear-time, hull-free code path and is computed at most once per body:
   * the polar's vertices are read off the edges of K (the edge <n, x> = c
     dualizes to the vertex w = n/c), and K°'s are K's vertices; polar reads
     them as points, gauge as integer rows (a, b) = D * w over their common
-    denominator D, built on the body's first gauge, so a gauge is integer
-    multiply-adds and a polar alone never pays for D;
+    denominator D, built on first use by a gauge or the minima walk, so a
+    gauge is integer multiply-adds and a polar alone never pays for D;
   * the area, which the checks ask of the same body several times;
   * whether the origin is interior, which the polar, the search and the
     checks all ask;
@@ -159,7 +159,7 @@ def _polar_dirs(K: Body) -> tuple:
 def gauge_rows(K) -> tuple:
     """(rows, D): the polar directions w_i of K as integer rows
     (a_i, b_i) = D * w_i, D the least common denominator; built on the
-    first call, which is the body's first gauge, and memoized."""
+    first call, by a gauge or the minima walk, and memoized."""
     K = as_body(K)
     if K._gauge_rows is None:
         dirs = _polar_dirs(K)

@@ -32,10 +32,11 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions to Fraction."""
+    """Coerce ints, strings like "3/4", and Fractions to Fraction; a bool
+    is not read as 0 or 1 but raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if not _RAT_RE.match(value.strip()):

@@ -42,6 +42,10 @@ def vertices_json(K: Body) -> dict:
 
 
 def body_from_json(doc: dict) -> Body:
+    """The Body of a JSON document; a non-object, a normal whose length is
+    not `dim` or a non-rational value raises ValueError or TypeError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"body JSON must be an object, not {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "vpoly":
         from .core import convex_hull
@@ -57,6 +61,9 @@ def body_from_json(doc: dict) -> Body:
         dim = int(doc["dim"])
         rows = tuple((tuple(rat(c) for c in row["normal"]), rat(row["offset"]))
                      for row in doc["rows"])
+        for normal, _ in rows:
+            if len(normal) != dim:
+                raise ValueError(f"normal with {len(normal)} components in dimension {dim}")
         return Body(hrep=HPolytope(rows, dim), dim=dim)
     if kind == "family":
         spec = FamilySpec(doc["name"], dict(doc.get("params", {})),

@@ -4,19 +4,19 @@ The enumeration is made complete by the bound gauge(z) >= |z_j| / extent_j,
 where extent_j is the body's maximal |x_j|: every lattice point outside the
 searched box therefore has gauge strictly above the certified radius.
 
-The minima are invariant under unimodular maps, so the box is walked in
-coordinates where it is small.  Z² is first reduced for the body by the
-generalized Gauss algorithm, with the integer polar rows of `gauge_rows`
-as the norm; the reduced basis B keeps the box of B⁻¹K within a
-multiple of lambda_2/lambda_1 on every shear, and what that walk finds is
-mapped back by B before it is sorted.  The radius and extents reported
-are those of the body's own box, whose completeness statement holds
-unchanged.
+The minima are invariant under unimodular maps, so the lattice is walked in
+the coordinates y of z = By for a basis B of Z² reduced for the body by the
+generalized Gauss algorithm, with the integer polar rows (a, b) of
+`gauge_rows` as the norm; there the box, set by the extents of B⁻¹K, stays
+within a multiple of lambda_2/lambda_1 on every shear.  The walk compares
+integer gauge numerators over the rows mapped by Bᵀ, builds no image body,
+and maps back by B only the short vectors it keeps.  The radius and extents
+reported are those of the body's own box, whose completeness statement
+holds unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +48,7 @@ class MinimaCert:
     the lattice again.
 
     The box is a statement about the body in its own coordinates and holds
-    as stated; the enumeration itself ran over the unimodular image B⁻¹K,
+    as stated; the enumeration itself walked the coefficients y of z = By,
     where B, kept as `basis` (its columns b1, b2), is a Gauss-reduced basis
     of Z² for the body, or (e1, e2) when the standard basis already is one.
     Every coordinate above is in the original lattice basis; `to_json`
@@ -79,51 +79,18 @@ class MinimaBasis:
     z2: Vec2
 
 
-def _extents(K: Body):
-    vs = K.polygon.vertices
-    return max(abs(v.x) for v in vs), max(abs(v.y) for v in vs)
-
-
-def _box_points(radius: Fraction, extents, cap):
-    """Lattice points of the certificate box in square rings of increasing
-    side, skipping points whose gauge lower bound max(|z_j|/extent_j)
-    already exceeds cap()."""
-    m1 = math.floor(radius * extents[0])
-    m2 = math.floor(radius * extents[1])
-    for ring in range(1, max(m1, m2) + 1):
-        if ring > cap() * max(extents):
-            return  # every later point has gauge above the cap
-        for p in range(-min(ring, m1), min(ring, m1) + 1):
-            for q in range(-min(ring, m2), min(ring, m2) + 1):
-                if max(abs(p), abs(q)) != ring:
-                    continue
-                if abs(p) > cap() * extents[0] or abs(q) > cap() * extents[1]:
-                    continue
-                yield vec(p, q)
-
-
-def _primitive_direction(z: Vec2):
-    g = math.gcd(int(z.x), int(z.y))
-    p, q = int(z.x) // g, int(z.y) // g
-    return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
-
-
 def successive_minima(K) -> MinimaCert:
     """Exact lambda_1 <= lambda_2 with witnesses, deterministic tie-breaking.
 
     The search radius is the best candidate bound on lambda_2: among the
     pairwise independent directions e1, e2, (1,1), (1,-1) the second
     smallest sign-minimized gauge dominates lambda_2, and those two points
-    lie in the box.  The box itself is enumerated in reduced coordinates:
-    Z² is Gauss-reduced for the norm max(gauge(z), gauge(-z)) to a basis B,
-    and the unimodular image B⁻¹K, whose gauge at y is the gauge of K at By,
-    has a certificate box bounded by lambda_2/lambda_1 however K is
-    sheared.  One pass enumerates that box in growing square rings and
-    prunes with the running lambda_2 upper bound, the larger gauge of the
-    two cheapest points on distinct lines.  That bound never drops below
-    lambda_2, so every lattice point of gauge <= lambda_2 is visited; mapped
-    back by B, they are kept, in witness_key order, as the certificate's
-    short vectors.
+    lie in the box.  One integer walk visits the box in the coordinates of
+    a basis B of Z², Gauss-reduced for the norm max(gauge(z), gauge(-z)),
+    in growing square rings pruned by a running bound that never drops
+    below lambda_2; every lattice point of gauge <= lambda_2 is visited,
+    and they are kept, mapped back by B and in witness_key order, as the
+    certificate's short vectors.
 
     The certificate is stored on the body and returned by every later call,
     so each body is enumerated at most once.
@@ -134,36 +101,60 @@ def successive_minima(K) -> MinimaCert:
     return K._minima
 
 
-_SEED_DIRS = (E1, E2, vec(1, 1), vec(1, -1))
+_SEED_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def _seed_gauges(K: Body):
-    """(gauge(u), gauge(-u)) for each seed direction u, in _SEED_DIRS order."""
-    return [(gauge(K, u), gauge(K, -u)) for u in _SEED_DIRS]
+def _seeds(rows):
+    """(N(u), N(-u)) for each seed direction u, in _SEED_DIRS order, with
+    N(z) = max_i (a_i z_1 + b_i z_2) the gauge numerator over the rows."""
+    values = ([a * p + b * q for a, b in rows] for p, q in _SEED_DIRS)
+    return [(max(v), -min(v)) for v in values]
 
 
 def _radius(seeds):
     return sorted(min(pair) for pair in seeds)[1]
 
 
-def _enumerate(K: Body, radius: Fraction, ext):
-    """Every lattice z of the certificate box with gauge(z) <= radius, as
-    (z, gauge) pairs; points pruned by the running lambda_2 bound have
-    gauge above lambda_2."""
+def _ring(r, P, Q):
+    """The lattice points (p, q) with max(|p|, |q|) = r, |p| <= P, |q| <= Q."""
+    if r <= Q:
+        for p in range(-min(r, P), min(r, P) + 1):
+            yield p, r
+            yield p, -r
+    if r <= P:
+        for q in range(-min(r - 1, Q), min(r - 1, Q) + 1):
+            yield r, q
+            yield -r, q
+
+
+def _walk(rows, D, ext, radius):
+    """(found, l2): the lattice points y of the box |y_j| <= radius/D * ext_j
+    as (N, p, q), N = max_i (a_i p + b_i q) the numerator of gauge N/D, and
+    the numerator l2 of lambda_2.  The box is walked in square rings of
+    growing r, each cut to the box of the running bound: the larger
+    numerator of the cheapest point and of the cheapest point off its line.
+    The bound never drops below lambda_2, so every point of gauge <=
+    lambda_2 is found, and once the walk ends it is lambda_2."""
+    (n1, d1), (n2, d2) = ((e.numerator, D * e.denominator) for e in ext)
     bound = radius
-    best = {}  # primitive direction -> smallest gauge on that line
+    best = (radius + 1, 0, 0)  # the cheapest point found; a sentinel at first
     found = []
-    for z in _box_points(radius, ext, lambda: bound):
-        g = gauge(K, z)
-        if g > radius:
-            continue
-        found.append((z, g))
-        d = _primitive_direction(z)
-        if g < best.get(d, g + 1):
-            best[d] = g
-            if len(best) >= 2:
-                bound = min(bound, sorted(best.values())[1])
-    return found
+    r = 1
+    while True:
+        P, Q = bound * n1 // d1, bound * n2 // d2
+        if r > max(P, Q):
+            return found, bound  # every later point has gauge above the bound
+        for p, q in _ring(r, P, Q):
+            N = max(a * p + b * q for a, b in rows)
+            if N > bound:
+                continue
+            found.append((N, p, q))
+            N1, p1, q1 = best
+            if p1 * q != q1 * p:  # off the line of the cheapest point
+                bound = max(N, N1)
+            if N < N1:
+                best = (N, p, q)
+        r += 1
 
 
 def _reduce_step(rows, b1, b2):
@@ -201,46 +192,41 @@ def _gauss_reduce(rows):
         b1, b2, n1 = b2, b1, n2
 
 
-def _unimodular_image(K: Body, b1, b2) -> Body:
-    """B⁻¹K for the unimodular B with columns b1, b2, built by
-    `apply_transform`; its gauge at y is the gauge of K at By.  The image's
-    integer gauge rows are K's rows (a, b) mapped by Bᵀ, over the same D
-    (B is unimodular), and its origin is interior since K's is."""
-    det = b1[0] * b2[1] - b2[0] * b1[1]  # +-1, its own inverse
-    inverse = Transform2.linear(det * b2[1], -det * b2[0], -det * b1[1], det * b1[0])
-    rows, D = gauge_rows(K)
-    image = apply_transform(inverse, K)
-    image._gauge_rows = (tuple((a * b1[0] + b * b1[1], a * b2[0] + b * b2[1])
-                               for a, b in rows), D)
-    image._origin_open = True
-    return image
-
-
 def _certify(K: Body) -> MinimaCert:
-    ext = _extents(K)
-    seeds = _seed_gauges(K)
+    vs = K.polygon.vertices
+    ext = max(abs(v.x) for v in vs), max(abs(v.y) for v in vs)
+    rows, D = gauge_rows(K)
+    seeds = _seeds(rows)
     radius = _radius(seeds)
     n1, n2, n11, n1m = (max(pair) for pair in seeds)
     if max(n1, n2) <= min(n11, n1m):
-        basis = (E1, E2)  # the standard basis is already reduced
-        found = _enumerate(K, radius, ext)
+        b1, b2 = (1, 0), (0, 1)  # the standard basis is already reduced
+        walk_rows, walk_ext, walk_radius = rows, ext, radius
     else:
-        b1, b2 = _gauss_reduce(gauge_rows(K)[0])
-        basis = (vec(*b1), vec(*b2))
-        Kr = _unimodular_image(K, b1, b2)
-        (a, b), (c, d) = b1, b2
-        found = []
-        for y, g in _enumerate(Kr, _radius(_seed_gauges(Kr)), _extents(Kr)):
-            p, q = y.x.numerator, y.y.numerator
-            found.append((vec(a * p + c * q, b * p + d * q), g))
-    entries = sorted((witness_key(z, g), z, g) for z, g in found)
-    if entries:
-        _, w1, l1 = entries[0]
-        for _, z, l2 in entries[1:]:
-            if w1.cross(z) != 0:
-                short = tuple((v, g) for _, v, g in entries if g <= l2)
-                return MinimaCert((l1, l2), (w1, z), radius, ext, short, basis)
-    raise InternalInvariantViolation("certificate box holds no independent pair")
+        b1, b2 = _gauss_reduce(rows)
+        # the gauge at By is max over the rows mapped by Bᵀ, and the box of
+        # y = B⁻¹x, det B = +-1, is set by the extents of B⁻¹K
+        walk_rows = tuple((a * b1[0] + b * b1[1], a * b2[0] + b * b2[1])
+                          for a, b in rows)
+        walk_ext = (max(abs(b2[1] * v.x - b2[0] * v.y) for v in vs),
+                    max(abs(b1[0] * v.y - b1[1] * v.x) for v in vs))
+        walk_radius = _radius(_seeds(walk_rows))
+    found, l2 = _walk(walk_rows, D, walk_ext, walk_radius)
+    (a, b), (c, d) = b1, b2
+    # witness_key orders integer points and numerators N exactly as it
+    # orders the Vec2s and gauges N/D they stand for
+    kept = sorted(((Vec2(a * p + c * q, b * p + d * q), N)
+                   for N, p, q in found if N <= l2),
+                  key=lambda entry: witness_key(*entry))
+    w1 = kept[0][0]
+    i = next((i for i, (z, _) in enumerate(kept) if w1.cross(z)), None)
+    if i is None:
+        raise InternalInvariantViolation("certificate box holds no independent pair")
+    short = tuple((Vec2(Fraction(z.x), Fraction(z.y)), Fraction(N, D))
+                  for z, N in kept)
+    (w1, g1), (w2, g2) = short[0], short[i]
+    return MinimaCert((g1, g2), (w1, w2), Fraction(radius, D), ext, short,
+                      (vec(*b1), vec(*b2)))
 
 
 def minima_basis(Ksym) -> MinimaBasis:

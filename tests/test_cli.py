@@ -97,6 +97,29 @@ class TestAnalyzeCommand:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "limit exceeded" in res.output and "digits" in res.output
 
+    def _parse_error(self, tmp_path, doc):
+        res = run("analyze", write_body(tmp_path, doc))
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "parse error" in res.output
+
+    def _square_hpoly(self, first_normal, dim=2):
+        rows = [{"normal": first_normal, "offset": "1"}]
+        rows += [{"normal": n, "offset": "1"} for n in (["0", "1"], ["-1", "0"], ["0", "-1"])]
+        return {"type": "hpoly", "dim": dim, "rows": rows}
+
+    def test_normal_with_one_component_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, self._square_hpoly(["1"]))
+
+    def test_normal_with_three_components_in_the_plane_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, self._square_hpoly(["1", "0", "5"]))
+
+    def test_boolean_coordinate_exit_2(self, tmp_path):
+        doc = {"type": "vpoly", "vertices": [[True, "0"], ["-1", "1"], ["-1", "-1"]]}
+        self._parse_error(tmp_path, doc)
+
+    def test_top_level_list_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, [T23_DOC])
+
     def test_degenerate_body_exit_3(self, tmp_path):
         doc = {"type": "vpoly", "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}
         assert run("analyze", write_body(tmp_path, doc)).exit_code == 3

@@ -3,7 +3,9 @@
 The bodies are corpus polygons, rational n-gons with up to 48 vertices
 (points on the rational parametrization of the unit circle, stretched and
 moved to their centroid) and unimodular shears of corpus polygons; the
-minima are also checked on products of shears, swaps and signs of those.
+minima are also checked on products of shears, swaps and signs of those,
+and on thin rectangles and diamonds (lambda_2/lambda_1 up to 900) and
+their unimodular images.
 The clips and affine images, built without a hull, are checked against
 the hull of the same points, and the integer-form cut areas against the
 shoelace of that hull.  The integer-form area, centroid, membership test
@@ -14,6 +16,7 @@ intersection on small random row sets and on the shuffled edge rows of the
 bodies.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -133,6 +136,43 @@ def test_minima_of_unimodular_images_match_full_box_enumeration(K, T):
         (p1, q1), _ = expected[0]
         w2 = next(z for z, _ in expected if p1 * z[1] - q1 * z[0])
         assert [(w.x, w.y) for w in cert.witnesses] == [(p1, q1), w2]
+
+
+@st.composite
+def thin_bodies(draw):
+    """(a, K): the rectangle R_a = [-a, a] x [-1/a, 1/a] or the diamond
+    conv(+-(a, 0), +-(0, 1/a)), 1 <= a <= 30, or a unimodular image of
+    either; the minima of K° are (1/a, a) in every case."""
+    a = draw(st.fractions(1, 30, max_denominator=4))
+    if draw(st.booleans()):
+        pts = [vec(a, 1 / a), vec(-a, 1 / a), vec(-a, -1 / a), vec(a, -1 / a)]
+    else:
+        pts = [vec(a, 0), vec(0, 1 / a), vec(-a, 0), vec(0, -1 / a)]
+    K = Body(poly=pm.convex_hull(pts))
+    if draw(st.booleans()):
+        K = pm.apply_transform(draw(unimodular), K)
+    return a, K
+
+
+@settings(max_examples=20)
+@given(thin_bodies())
+def test_minima_of_thin_bodies_match_full_box_enumeration(case):
+    a, K = case
+    dual = pm.polar(K)
+    X = max(abs(v.x) for v in dual.polygon.vertices)
+    Y = max(abs(v.y) for v in dual.polygon.vertices)
+    assume((2 * math.floor(a * X) + 1) * (2 * math.floor(a * Y) + 1) <= 6000)
+    expected = sorted(short_vectors(_tuples(dual), a),
+                      key=lambda e: witness_key(vec(*e[0]), e[1]))
+    (p1, q1), _ = expected[0]
+    w2 = next(z for z, _ in expected if p1 * z[1] - q1 * z[0])
+    # K is symmetric, so cs(K)° is the polygon of K°, as a separate body
+    for D in (pm.polar(pm.central_symmetral(K)), dual):
+        assert D.polygon == dual.polygon
+        cert = pm.successive_minima(D)
+        assert cert.lambdas == (1 / a, a)
+        assert [(w.x, w.y) for w in cert.witnesses] == [(p1, q1), w2]
+        assert [((z.x, z.y), g) for z, g in cert.short_vectors] == expected
 
 
 @settings(max_examples=30)

@@ -32,6 +32,26 @@ def _probe_integer_form(monkeypatch):
     return reads, builds
 
 
+def _probe_walk(monkeypatch):
+    """The lattice points the minima walk evaluates, in visiting order."""
+    visited = []
+    inner = pm.minima._ring
+
+    def probe(r, P, Q):
+        for y in inner(r, P, Q):
+            visited.append(y)
+            yield y
+
+    monkeypatch.setattr(pm.minima, "_ring", probe)
+    return visited
+
+
+def thin_rectangle(a):
+    """R_a = [-a, a] x [-1/a, 1/a], with lambda_2/lambda_1 = a^2."""
+    a = F(a)
+    return Body.from_points([vec(a, 1 / a), vec(-a, 1 / a), vec(-a, -1 / a), vec(a, -1 / a)])
+
+
 class TestSuccessiveMinima:
     def test_cross_polytope(self):
         cert = pm.successive_minima(CROSS)
@@ -118,9 +138,7 @@ class TestSuccessiveMinima:
 
 class TestReducedEnumeration:
     def test_sheared_square_and_its_polar(self, monkeypatch):
-        calls = []
-        inner = pm.minima.gauge
-        monkeypatch.setattr(pm.minima, "gauge", lambda K, x: calls.append(x) or inner(K, x))
+        visited = _probe_walk(monkeypatch)
         K = pm.apply_transform(pm.Transform2.linear(1, 200, 0, 1), SQUARE)
         cert, dual = pm.successive_minima(K), pm.successive_minima(pm.polar(K))
         assert cert.lambdas == dual.lambdas == (1, 1)
@@ -131,7 +149,21 @@ class TestReducedEnumeration:
         assert (dual.search_radius, dual.extents) == (200, (1, 200))
         assert cert.basis == (vec(1, 0), vec(200, 1))
         assert dual.basis == (vec(0, 1), vec(1, -200))  # determinant -1
-        assert len(calls) <= 100
+        assert len(visited) <= 100
+
+    def test_thin_rectangle_and_its_polar_walk_their_box_once(self, monkeypatch):
+        # lambda_2/lambda_1 = 900 on R_30 and on its polar, and the standard
+        # basis is reduced for both; the walk visits no point of the box
+        # |p| <= 900, |q| <= 1 (|p| <= 1, |q| <= 900 for the polar) twice
+        visited = _probe_walk(monkeypatch)
+        R = thin_rectangle(30)
+        for K, short in ((R, 6 * 900 + 2), (pm.polar(R), 2 * 900 + 2)):
+            visited.clear()
+            cert = pm.successive_minima(K)
+            assert cert.lambdas == (F(1, 30), 30)
+            assert cert.basis == (vec(1, 0), vec(0, 1))
+            assert len(visited) == len(set(visited)) <= 3 * (2 * 900 + 1) - 1
+            assert len(cert.short_vectors) == short
 
     def test_reduced_image_reuses_the_gauge_rows(self, monkeypatch):
         # B⁻¹K takes its integer rows and its interior origin from K, so only
