@@ -102,10 +102,10 @@ class TestAnalyzeCommand:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "parse error" in res.output
 
-    def _square_hpoly(self, first_normal, dim=2):
+    def _square_hpoly(self, first_normal):
         rows = [{"normal": first_normal, "offset": "1"}]
         rows += [{"normal": n, "offset": "1"} for n in (["0", "1"], ["-1", "0"], ["0", "-1"])]
-        return {"type": "hpoly", "dim": dim, "rows": rows}
+        return {"type": "hpoly", "dim": 2, "rows": rows}
 
     def test_normal_with_one_component_exit_2(self, tmp_path):
         self._parse_error(tmp_path, self._square_hpoly(["1"]))

@@ -46,12 +46,6 @@ def _probe_walk(monkeypatch):
     return visited
 
 
-def thin_rectangle(a):
-    """R_a = [-a, a] x [-1/a, 1/a], with lambda_2/lambda_1 = a^2."""
-    a = F(a)
-    return Body.from_points([vec(a, 1 / a), vec(-a, 1 / a), vec(-a, -1 / a), vec(a, -1 / a)])
-
-
 class TestSuccessiveMinima:
     def test_cross_polytope(self):
         cert = pm.successive_minima(CROSS)
@@ -152,11 +146,13 @@ class TestReducedEnumeration:
         assert len(visited) <= 100
 
     def test_thin_rectangle_and_its_polar_walk_their_box_once(self, monkeypatch):
-        # lambda_2/lambda_1 = 900 on R_30 and on its polar, and the standard
-        # basis is reduced for both; the walk visits no point of the box
-        # |p| <= 900, |q| <= 1 (|p| <= 1, |q| <= 900 for the polar) twice
+        # lambda_2/lambda_1 = 900 on R_30 = [-30, 30] x [-1/30, 1/30] and on
+        # its polar, and the standard basis is reduced for both; the walk
+        # visits no point of the box |p| <= 900, |q| <= 1 (|p| <= 1,
+        # |q| <= 900 for the polar) twice
         visited = _probe_walk(monkeypatch)
-        R = thin_rectangle(30)
+        a = F(30)
+        R = Body.from_points([vec(a, 1 / a), vec(-a, 1 / a), vec(-a, -1 / a), vec(a, -1 / a)])
         for K, short in ((R, 6 * 900 + 2), (pm.polar(R), 2 * 900 + 2)):
             visited.clear()
             cert = pm.successive_minima(K)
@@ -166,8 +162,8 @@ class TestReducedEnumeration:
             assert len(cert.short_vectors) == short
 
     def test_reduced_image_reuses_the_gauge_rows(self, monkeypatch):
-        # B⁻¹K takes its integer rows and its interior origin from K, so only
-        # K's edges, through K's integer form, are read
+        # the walk in the reduced basis maps K's integer rows by Bᵀ and builds
+        # no image of K, so only K's edges, through K's integer form, are read
         reads, builds = _probe_integer_form(monkeypatch)
         K = pm.apply_transform(pm.Transform2.linear(1, 200, 0, 1), SQUARE)
         cert = pm.successive_minima(K)
