@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
@@ -40,7 +41,7 @@ def _emit(doc: dict, output: str | None):
         sys.stdout.write(text)
 
 
-def _fail(code: int, message: str):
+def _fail(code: int, message: str) -> NoReturn:
     print(message, file=sys.stderr)
     sys.exit(code)
 
@@ -81,10 +82,8 @@ def analyze(body_file, decimal, output):
         K = body_from_json(doc)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(PARSE_ERROR, f"parse error: {exc}")
-        return
     except GeometryError as exc:
         _fail(GEOMETRY_ERROR, f"invalid body: {exc}")
-        return
     try:
         if not K.is_planar:
             raise BadParams("analyze handles planar bodies only")
@@ -104,10 +103,8 @@ def analyze(body_file, decimal, output):
             r.holds for r in reports if r.check_id in THEOREM_CHECKS)
     except LimitExceeded as exc:
         _fail(PARSE_ERROR, f"limit exceeded: {exc}")
-        return
     except GeometryError as exc:
         _fail(GEOMETRY_ERROR, f"geometric precondition failed: {exc}")
-        return
     if decimal is not None:
         out = _with_decimals(out, decimal)
     _emit(out, output)
@@ -132,12 +129,10 @@ def family(name, s_, t_, t1, t2, dim, output):
         body = make(FamilySpec(name, params, dim))
     except (BadParams, ValueError) as exc:
         _fail(PARSE_ERROR, f"bad family parameters: {exc}")
-        return
     try:
         doc = vertices_json(body) if body.is_planar else body_to_json(body)
     except LimitExceeded as exc:
         _fail(PARSE_ERROR, f"limit exceeded: {exc}")
-        return
     _emit(doc, output)
 
 
@@ -160,12 +155,10 @@ def search(t_, seeds, iters, trace, decimal, output):
             raise BadParams("iters must be >= 0")
     except (BadParams, ValueError) as exc:
         _fail(PARSE_ERROR, f"bad parameter: {exc}")
-        return
     try:
         result = multi_start(t, list(range(seeds)), iters)
     except NoFeasibleStart as exc:
         _fail(NO_FEASIBLE_START, f"no feasible start: {exc}")
-        return
     gap = result.best.volume - result.target
     try:
         out = {
@@ -188,7 +181,6 @@ def search(t_, seeds, iters, trace, decimal, output):
             out["trace"] = [[i, rat_str(v)] for i, v in result.trace]
     except LimitExceeded as exc:
         _fail(PARSE_ERROR, f"limit exceeded: {exc}")
-        return
     if decimal is not None:
         out = _with_decimals(out, decimal)
     _emit(out, output)
@@ -203,7 +195,6 @@ def verify_suite_cmd(count, seed, output):
     """Run every check over a seeded random corpus plus the family grid."""
     if count < 1:
         _fail(PARSE_ERROR, "count must be >= 1")
-        return
     summary = verify_suite(seed, count)
     _emit(summary, output)
     sys.exit(VIOLATION if summary["violations"] else 0)

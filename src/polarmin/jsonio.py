@@ -41,9 +41,16 @@ def vertices_json(K: Body) -> dict:
     }
 
 
+def _dim(value) -> int:
+    if type(value) is not int or value < 1:  # bool is a subclass of int
+        raise ValueError(f"dim must be an integer >= 1, not {value!r}")
+    return value
+
+
 def body_from_json(doc: dict) -> Body:
-    """The Body of a JSON document; a non-object, a normal whose length is
-    not `dim` or a non-rational value raises ValueError or TypeError."""
+    """The Body of a JSON document; a non-object, a `dim` that is not an
+    integer >= 1, a normal of another length or a non-rational value
+    raises ValueError or TypeError."""
     if not isinstance(doc, dict):
         raise ValueError(f"body JSON must be an object, not {type(doc).__name__}")
     kind = doc.get("type")
@@ -58,7 +65,7 @@ def body_from_json(doc: dict) -> Body:
             raise DegenerateInput("vertex list contains non-extreme points")
         return Body(poly=hull)
     if kind == "hpoly":
-        dim = int(doc["dim"])
+        dim = _dim(doc["dim"])
         rows = tuple((tuple(rat(c) for c in row["normal"]), rat(row["offset"]))
                      for row in doc["rows"])
         for normal, _ in rows:
@@ -67,6 +74,6 @@ def body_from_json(doc: dict) -> Body:
         return Body(hrep=HPolytope(rows, dim), dim=dim)
     if kind == "family":
         spec = FamilySpec(doc["name"], dict(doc.get("params", {})),
-                          int(doc.get("dim", 2)))
+                          _dim(doc.get("dim", 2)))
         return make(spec)
     raise ValueError(f"unknown body type {kind!r}")

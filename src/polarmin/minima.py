@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .body import Body, as_body, apply_transform, centered, \
-    central_symmetral, gauge, gauge_rows, is_symmetric, polar, scale, \
-    support, Transform2
-from .core import E1, E2, Vec2, rat_str, vec
+    central_symmetral, gauge, gauge_rows, is_symmetric, polar, scale, Transform2
+from .core import E1, E2, Vec2, integer_form, rat_str, vec
 from .errors import InternalInvariantViolation, NotNormalized, OriginNotInterior
 
 
@@ -300,8 +299,9 @@ def contact_set(K):
     C0 collects the lattice points at symmetral-polar gauge exactly 1, read
     off the minima certificate's short vectors (lambda_2 = 1, so the list
     holds all of them), plus +-e1; C radially projects each onto the
-    boundary of K°, i.e. divides by the K°-gauge.  Raises NotNormalized
-    unless lambda_2 = 1 is attained at e2 and lambda_1 at e1.
+    boundary of K°, i.e. divides by the K°-gauge h_K(z) = S/L, with
+    S = max_k (X_k m + Y_k n) over the integer form of K.  Raises
+    NotNormalized unless lambda_2 = 1 is attained at e2 and lambda_1 at e1.
     """
     K = as_body(K)
     if not K.contains_origin("open"):
@@ -314,5 +314,6 @@ def contact_set(K):
     pts = {z for z, g in cert.short_vectors if g == 1}
     pts.update((E1, -E1))
     c0 = tuple(sorted(pts, key=lambda z: (z.x, z.y)))
-    c = tuple(z * (1 / support(K, z)) for z in c0)
-    return c0, c
+    ints, L = integer_form(K.polygon)
+    return c0, tuple(z * Fraction(L, max(x * z.x.numerator + y * z.y.numerator
+                                         for x, y in ints)) for z in c0)

@@ -19,8 +19,10 @@ re-certified from scratch afterwards:
     which single-edge moves are fixed points; the move jumps to the family's
     volume minimum (the balanced split t1 = t2 = 1/t) and re-verifies.
 
-All comparisons are exact; the 1e-6 figure appears only in human-readable
-gap summaries.
+All comparisons are exact.  The solves and the contact map read the
+supports of a lattice vector z = (m, n) off one pass of the integers
+X_k m + Y_k n over the polygon's integer form (vertices (X_k, Y_k)/L).  The
+1e-6 figure appears only in human-readable gap summaries.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property
 
 from .body import Body, as_body, apply_transform, centered, \
     central_symmetral, gauge, polar, Transform2
-from .core import E1, E2, rat, vec
+from .core import E1, E2, integer_form, rat, vec
 from .errors import BadParams, DegenerateInput, GeometryError, \
     InternalInvariantViolation, NoFeasibleStart, NoSlackEdge, NotRotatable
 from .minima import MinimaCert, contact_set, normalize_to_At, \
@@ -62,13 +64,15 @@ class Candidate:
         the relative interior of its dual edge.  The contact points come from
         `contact_set`, which reads them off the minima certificate; p lies
         inside the dual edge of vertex i iff i is the only vertex with
-        <v_i, p> = 1.  Raises NotNormalized for an infeasible candidate."""
-        vs = self.body.polygon.vertices
-        by_edge = {i: set() for i in range(len(vs))}
-        for p in contact_set(self.body)[1]:
-            on = [i for i, v in enumerate(vs) if v.dot(p) == 1]
-            if len(on) == 1:
-                by_edge[on[0]].add(p)
+        <v_i, p> = 1, i.e. iff i alone attains S = max_k (X_k m + Y_k n), as
+        p = z L / S.  Raises NotNormalized for an infeasible candidate."""
+        pts, _ = integer_form(self.body.polygon)
+        by_edge = {i: set() for i in range(len(pts))}
+        for z, p in zip(*contact_set(self.body)):
+            values = [x * z.x.numerator + y * z.y.numerator for x, y in pts]
+            top = max(values)
+            if values.count(top) == 1:
+                by_edge[values.index(top)].add(p)
         return {i: frozenset(c) for i, c in by_edge.items()}
 
 
@@ -111,7 +115,8 @@ def make_candidate(K, t) -> Candidate:
 # For a vertex move f -> f(tau) the support of any lattice point z is
 # h(tau) = max(M_z, a_z + tau * b_z) with M_z the max over the fixed
 # vertices, so each symmetral constraint (h(z) + h(-z))/2 >= bound is a
-# convex piecewise-linear function of tau with at most two kinks.
+# convex piecewise-linear function of tau with at most two kinks.  The solves
+# work on L a_z, L M_z and L M_{-z}, integers over the integer form.
 
 
 def _constraint_reps(cand: Candidate):
@@ -120,14 +125,7 @@ def _constraint_reps(cand: Candidate):
     r, (e1, e2) = cand.cert.search_radius, cand.cert.extents
     m1 = math.floor(r * e1) + 1
     m2 = math.floor(r * e2) + 1
-    return [vec(m, n) for n in range(1, m2 + 1) for m in range(-m1, m1 + 1)]
-
-
-def _support_parts(vertices, i, z):
-    """(a, M): moving vertex's inner product with z, and max over the rest."""
-    a = vertices[i].dot(z)
-    M = max(v.dot(z) for k, v in enumerate(vertices) if k != i)
-    return a, M
+    return [(m, n) for n in range(1, m2 + 1) for m in range(-m1, m1 + 1)]
 
 
 def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
@@ -161,12 +159,18 @@ def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
     return None
 
 
-def _lattice_constraints(cand: Candidate):
-    """(z, bound, equality) triples: the two witness equalities plus the
-    gauge >= 1 constraints for every representative but e2 (all have
-    n >= 1, so e1 is never one)."""
-    return [(E1, 1 / cand.t, True), (E2, Fraction(1), True)] + \
-        [(z, Fraction(1), False) for z in _constraint_reps(cand) if z != E2]
+def _scans(cand: Candidate, i):
+    """(z, L bound, equality, a, hi, lo) per lattice constraint: the two
+    witness equalities, then gauge >= 1 at every representative but e2 (all
+    have n >= 1, so e1 is never one); a is vertex i's X_i m + Y_i n, hi and
+    lo the max and min of it over the other vertices."""
+    pts, L = integer_form(cand.body.polygon)
+    (x, y), rest = pts[i], pts[:i] + pts[i + 1:]
+    constraints = [((1, 0), L / cand.t, True), ((0, 1), Fraction(L), True)] + \
+        [(z, Fraction(L), False) for z in _constraint_reps(cand) if z != (0, 1)]
+    for (m, n), bound, eq in constraints:
+        values = [xk * m + yk * n for xk, yk in rest]
+        yield (m, n), bound, eq, x * m + y * n, max(values), min(values)
 
 
 def _rebuild(cand: Candidate, vertices) -> Candidate:
@@ -192,15 +196,13 @@ def edge_push(cand: Candidate) -> Candidate:
     others = [v for k, v in enumerate(vs) if k != i]
 
     mu = Fraction(0)
-    for z, bound, _eq in _lattice_constraints(cand):
-        for side in (z, -z):
-            a, M = _support_parts(vs, i, side)
-            a_op, M_op = _support_parts(vs, i, -side)
-            floor_here = max(M, Fraction(0)) if a > 0 else M
-            floor_op = max(M_op, Fraction(0)) if a_op > 0 else M_op
-            if a <= 0 or (floor_here + floor_op) / 2 >= bound:
-                continue
-            mu = max(mu, (2 * bound - M_op) / a)
+    for _z, bound, _eq, a, hi, lo in _scans(cand, i):
+        # only the side z or -z where the vertex is positive can bind: a and
+        # the rest's max M there, M_op the rest's max on the other side
+        a, M, M_op = (a, hi, -lo) if a > 0 else (-a, -lo, hi)
+        p, q = bound.numerator, bound.denominator
+        if a and (max(M, 0) + M_op) * q < 2 * p:
+            mu = max(mu, Fraction(2 * p - M_op * q, a * q))
     nxt = _rebuild(cand, others + ([f * mu] if mu > 0 else [vec(0, 0)]))
     if not nxt.feasible:
         raise InternalInvariantViolation("push left A(t)")
@@ -227,10 +229,8 @@ def _combinatorial_taus(vs, i, w):
 
 def rotatable_contact(cand: Candidate, edge_index: int):
     """The single interior contact of the dual edge, or None."""
-    contacts = cand.contacts_by_edge.get(edge_index, frozenset())
-    if len(contacts) != 1:
-        return None
-    return next(iter(contacts))
+    contacts = cand.contacts_by_edge.get(edge_index, ())
+    return next(iter(contacts)) if len(contacts) == 1 else None
 
 
 def edge_rotate(cand: Candidate, edge_index: int, direction: int,
@@ -250,30 +250,31 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     vs = cand.body.polygon.vertices
-    contacts = cand.contacts_by_edge.get(edge_index, frozenset())
-    if len(contacts) != 1:
+    u = rotatable_contact(cand, edge_index)
+    if u is None:
         raise NotRotatable(
             "dual edge must contain exactly one contact point in its relative interior")
-    u = next(iter(contacts))
     w = direction * u.perp()
     n = len(vs)
     i = edge_index
     f = vs[i]
-    slope = w.cross(vs[(i + 1) % n] - vs[(i - 1) % n]) / 2
-    if slope > 0:
+    if w.cross(vs[(i + 1) % n] - vs[(i - 1) % n]) > 0:
         raise NotRotatable("requested direction increases the volume")
     others = [v for k, v in enumerate(vs) if k != i]
 
+    # every input of _tau_limit is scaled by L, which leaves tau unchanged;
+    # b L stays a Fraction, so its kinks are exact
+    L = integer_form(cand.body.polygon)[1]
+    wx, wy = w.x * L, w.y * L
     stops = []
-    for z, bound, eq in _lattice_constraints(cand):
-        a, M = _support_parts(vs, i, z)
-        a2, M2 = _support_parts(vs, i, -z)
-        limit = _tau_limit(a, w.dot(z), M, a2, w.dot(-z), M2, bound, eq)
+    for (p, q), bound, eq, a, hi, lo in _scans(cand, i):
+        b = wx * p + wy * q
+        limit = _tau_limit(a, b, hi, -a, -b, -lo, bound, eq)
         if limit is not None:
             if eq:
-                stops.append((limit, "witness-e1" if z == E1 else "witness-e2"))
+                stops.append((limit, "witness-e1" if (p, q) == (1, 0) else "witness-e2"))
             else:
-                stops.append((limit, f"lattice-gauge({int(z.x)},{int(z.y)})"))
+                stops.append((limit, f"lattice-gauge({p},{q})"))
     stops += [(comb, "vertex-collision") for comb in _combinatorial_taus(vs, i, w)]
     if not stops:
         raise InternalInvariantViolation("rotation found no stopping constraint")

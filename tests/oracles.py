@@ -2,13 +2,17 @@
 
 Deliberately written from scratch against the definitions (shoelace sums,
 edge-normal gauge, brute-force enumeration for the minima) so they do not
-share code paths with the library they check.
+share code paths with the library they check.  The one exception is the
+piecewise-linear limit `search._tau_limit`, which `rotate_stop` calls with
+Fraction supports: it has tests of its own, and the oracle pins the inputs
+the integer rotate solve hands it.
 """
 
 import math
 from fractions import Fraction
 
 from polarmin.errors import Empty, Unbounded
+from polarmin.search import _tau_limit
 
 
 def shoelace(points) -> Fraction:
@@ -240,3 +244,76 @@ def halfplane_vertices(rows):
     if len(hull) < 3:
         raise Empty("intersection is empty or lower-dimensional")
     return hull
+
+
+def support_parts(vertices, i, z):
+    """(a, M): <v_i, z> at the moving vertex i of (x, y) tuples and the max
+    of <v, z> over the other vertices, one Fraction product at a time."""
+    def dot(v):
+        return Fraction(v[0]) * z[0] + Fraction(v[1]) * z[1]
+    return dot(vertices[i]), max(dot(v) for k, v in enumerate(vertices) if k != i)
+
+
+def move_constraints(t, radius, extents):
+    """((z, bound, equality), ...) of the search moves: the witness
+    equalities at e1 (bound 1/t) and e2 (bound 1), then the gauge >= 1
+    constraint at every (m, n) != e2 with 1 <= n <= floor(radius e_2) + 1
+    and |m| <= floor(radius e_1) + 1, n outer, m inner."""
+    m1 = math.floor(radius * extents[0]) + 1
+    m2 = math.floor(radius * extents[1]) + 1
+    return [((1, 0), 1 / Fraction(t), True), ((0, 1), Fraction(1), True)] + \
+        [((m, n), Fraction(1), False) for n in range(1, m2 + 1)
+         for m in range(-m1, m1 + 1) if (m, n) != (0, 1)]
+
+
+def push_points(vertices, i, constraints):
+    """The points left when vertex f = v_i is pushed: the other vertices,
+    then f mu.  mu is 0 or the largest (2 bound - M(-s)) / a(s) over the
+    sides s of z and -z with a(s) > 0 whose floors fall short,
+    (floor(s) + floor(-s)) / 2 < bound, the floor of a side being max(M, 0)
+    when a > 0 and M otherwise."""
+    mu = Fraction(0)
+    for z, bound, _eq in constraints:
+        for s in (z, (-z[0], -z[1])):
+            a, M = support_parts(vertices, i, s)
+            a_op, M_op = support_parts(vertices, i, (-s[0], -s[1]))
+            floor_here = max(M, Fraction(0)) if a > 0 else M
+            floor_op = max(M_op, Fraction(0)) if a_op > 0 else M_op
+            if a <= 0 or (floor_here + floor_op) / 2 >= bound:
+                continue
+            mu = max(mu, (2 * bound - M_op) / a)
+    x, y = vertices[i]
+    return [v for k, v in enumerate(vertices) if k != i] + [(x * mu, y * mu)]
+
+
+def rotate_stop(vertices, i, w, constraints):
+    """(tau, reason) of the least stop of the slide v_i + tau w: each
+    constraint's limit from the Fraction supports of z and -z, in
+    constraint order, then every positive tau at which v_i becomes
+    collinear with the chord of its neighbors or with a neighboring edge;
+    the first least tau wins.  The limit of one constraint is the library's
+    `_tau_limit`, pinned on its own by the move-solve tests; this oracle
+    fixes the Fraction inputs it is given."""
+    n = len(vertices)
+    stops = []
+    for z, bound, eq in constraints:
+        minus = (-z[0], -z[1])
+        a, M = support_parts(vertices, i, z)
+        a2, M2 = support_parts(vertices, i, minus)
+        b = w[0] * z[0] + w[1] * z[1]
+        limit = _tau_limit(a, b, M, a2, -b, M2, bound, eq)
+        if limit is not None:
+            if eq:
+                stops.append((limit, "witness-e1" if z == (1, 0) else "witness-e2"))
+            else:
+                stops.append((limit, f"lattice-gauge({z[0]},{z[1]})"))
+    f = vertices[i]
+    for j, k in ((i - 1, i + 1), (i - 2, i - 1), (i + 1, i + 2)):
+        p, q = vertices[j % n], vertices[k % n]
+        d = (q[0] - p[0], q[1] - p[1])
+        denom = d[0] * w[1] - d[1] * w[0]
+        if denom != 0:
+            tau = -(d[0] * (f[1] - p[1]) - d[1] * (f[0] - p[0])) / denom
+            if tau > 0:
+                stops.append((tau, "vertex-collision"))
+    return min(stops, key=lambda stop: stop[0])

@@ -113,6 +113,21 @@ class TestAnalyzeCommand:
     def test_normal_with_three_components_in_the_plane_exit_2(self, tmp_path):
         self._parse_error(tmp_path, self._square_hpoly(["1", "0", "5"]))
 
+    def test_fractional_hpoly_dim_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, {**self._square_hpoly(["1", "0"]), "dim": 2.7})
+
+    def test_string_hpoly_dim_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, {**self._square_hpoly(["1", "0"]), "dim": "2"})
+
+    def test_boolean_hpoly_dim_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, {**self._square_hpoly(["1", "0"]), "dim": True})
+
+    def test_negative_hpoly_dim_without_rows_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, {"type": "hpoly", "dim": -1, "rows": []})
+
+    def test_fractional_family_dim_exit_2(self, tmp_path):
+        self._parse_error(tmp_path, {**T23_DOC, "dim": 2.5})
+
     def test_boolean_coordinate_exit_2(self, tmp_path):
         doc = {"type": "vpoly", "vertices": [[True, "0"], ["-1", "1"], ["-1", "-1"]]}
         self._parse_error(tmp_path, doc)

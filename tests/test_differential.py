@@ -11,9 +11,10 @@ the hull of the same points, and the integer-form cut areas against the
 shoelace of that hull.  The integer-form area, centroid, membership test
 and polar directions are checked against Fraction loops over the vertices,
 also on a polygon with coordinates near 10^300 and on a 256-gon.  The
-contact maps are checked on feasible search candidates, and the halfplane
-intersection on small random row sets and on the shuffled edge rows of the
-bodies.
+contact maps are checked on feasible search candidates, and so are the
+integer solves of the push and rotate moves, against Fraction supports over
+the vertices.  The halfplane intersection is checked on small random row
+sets and on the shuffled edge rows of the bodies.
 """
 
 import math
@@ -29,8 +30,8 @@ from polarmin.minima import witness_key
 from polarmin.search import sample_feasible
 
 from oracles import _hull, area_centroid, clip_hull, contact_points, edge_gauge, \
-    halfplane_vertices, orient_contains, pairwise_symmetral, polar_directions, \
-    shoelace, short_vectors, signed_area
+    halfplane_vertices, move_constraints, orient_contains, pairwise_symmetral, \
+    polar_directions, push_points, rotate_stop, shoelace, short_vectors, signed_area
 from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
@@ -199,6 +200,43 @@ def test_contact_maps_match_vertex_oracle(seed, t):
         assert [(p.x, p.y) for p in got] == c
         assert {i: {(p.x, p.y) for p in ps}
                 for i, ps in cand.contacts_by_edge.items()} == by_vertex
+
+
+def _centered_tuples(points):
+    hull = _hull(points)
+    cx, cy = area_centroid(hull)
+    return [(x - cx, y - cy) for x, y in hull]
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from([F(1), F(3, 2), F(2)]), st.integers(0, 4))
+def test_move_solves_match_fraction_oracle(seed, t, steps):
+    start = sample_feasible(random.Random(seed), t)
+    assume(start is not None)
+    cand = pm.descend(start, steps)[0]
+    vs = _tuples(cand.body)
+    n = len(vs)
+    constraints = move_constraints(t, cand.cert.search_radius, cand.cert.extents)
+    contacts = cand.contacts_by_edge
+    slack = [i for i in range(n) if not contacts[i]]
+    if slack:
+        pushed = push_points(vs, slack[0], constraints)
+        assert _tuples(pm.edge_push(cand).body) == _centered_tuples(pushed)
+    for i in range(n):
+        if len(contacts[i]) != 1:
+            continue
+        (u,) = contacts[i]
+        (x0, y0), (x1, y1) = vs[(i - 1) % n], vs[(i + 1) % n]
+        for direction in (1, -1):
+            w = (-direction * u.y, direction * u.x)
+            if w[0] * (y1 - y0) - w[1] * (x1 - x0) > 0:
+                continue  # the slide would grow the volume
+            tau, reason = rotate_stop(vs, i, w, constraints)
+            nxt, got = pm.edge_rotate(cand, i, direction, explain=True)
+            assert got == reason
+            x, y = vs[i]
+            moved = vs[:i] + [(x + tau * w[0], y + tau * w[1])] + vs[i + 1:]
+            assert _tuples(nxt.body) == (vs if tau == 0 else _centered_tuples(moved))
 
 
 @settings(max_examples=300)
