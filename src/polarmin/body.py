@@ -13,10 +13,10 @@ linear-time, hull-free code path and is computed at most once per body:
   * whether the origin is interior, which the polar, the search and the
     checks all ask;
   * the central symmetral is the Minkowski sum (K + (-K))/2, built by
-    merging the two angle-sorted edge sequences;
+    merging the two angle-sorted integer edge sequences of K's integer form;
   * successive minima are stored on the body by `minima.successive_minima`;
-  * the centroid translate is built once and shares the body's symmetral,
-    since cs(K + v) = cs(K).
+  * the centroid translate is built once, on the integer form, and shares
+    the body's symmetral, since cs(K + v) = cs(K).
 
 The memos live in the body's slots and are freed with it.  An affine image
 is the mapped vertex list, with no hull.
@@ -213,21 +213,20 @@ def central_symmetral(K) -> Body:
     Both edge sequences are walked from their lowest-then-leftmost vertex,
     where the edge angles start in [0, pi) and increase within [0, 2 pi),
     and are merged by angle in O(n) (de Berg et al., Computational
-    Geometry, section 13.3).  Each output vertex is (v_i - v_j)/2 for the
-    current vertex v_i of K and -v_j of -K.  Edges of equal direction are
-    taken in one step, so the result is strictly convex.
+    Geometry, section 13.3), as integer edges of K's integer form; each output
+    vertex is (P_i - P_j)/(2 L) for the current vertex P_i of K and -P_j of
+    -K.  Edges of equal direction are taken in one step, so it is strictly convex.
     """
     K = as_body(K)
     if K._symmetral is None:
-        vs = K.polygon.vertices
-        n = len(vs)
-        edges = [vs[(k + 1) % n] - vs[k] for k in range(n)]
-        halves = [core.angle_half(e) for e in edges]
+        pts, L = core.integer_form(K.polygon)
+        n = len(pts)
+        edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
+        halves = [(y, x) <= (0, 0) for x, y in edges]  # core.angle_half
         # -K starts at the reflection of K's highest-then-rightmost vertex;
-        # its edge after -v_j is -e_j, which lies in the other half.
-        i = min(range(n), key=lambda k: (vs[k].y, vs[k].x))
-        j = max(range(n), key=lambda k: (vs[k].y, vs[k].x))
-        half = Fraction(1, 2)
+        # its edge after -P_j is -e_j, which lies in the other half.
+        i = min(range(n), key=lambda k: (pts[k][1], pts[k][0]))
+        j = max(range(n), key=lambda k: (pts[k][1], pts[k][0]))
         out = []
         left_i = left_j = n
         while left_i or left_j:
@@ -238,7 +237,7 @@ def central_symmetral(K) -> Body:
             elif halves[i] == halves[j]:  # e_i and -e_j in different halves
                 order = -1 if halves[i] == 0 else 1
             else:
-                c = edges[j].cross(edges[i])  # cross(e_i, -e_j)
+                c = core._turn((0, 0), edges[j], edges[i])  # cross(e_i, -e_j)
                 order = (c < 0) - (c > 0)
             if order <= 0:
                 i = (i + 1) % n
@@ -246,8 +245,8 @@ def central_symmetral(K) -> Body:
             if order >= 0:
                 j = (j + 1) % n
                 left_j -= 1
-            out.append((vs[i] - vs[j]) * half)
-        K._symmetral = Body(poly=VPolygon(out, _trusted=True))
+            out.append((pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]))
+        K._symmetral = Body(poly=core._from_integer(out, 2 * L))
     return K._symmetral
 
 

@@ -82,6 +82,8 @@ def analyze(body_file, decimal, output):
         K = body_from_json(doc)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(PARSE_ERROR, f"parse error: {exc}")
+    except LimitExceeded as exc:
+        _fail(PARSE_ERROR, f"limit exceeded: {exc}")
     except GeometryError as exc:
         _fail(GEOMETRY_ERROR, f"invalid body: {exc}")
     try:

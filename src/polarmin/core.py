@@ -5,13 +5,13 @@ exact sign computations, so tangency, collinearity and equality of areas are
 detected exactly rather than to within a tolerance.  Polygons are stored as
 strictly convex counterclockwise vertex lists.
 
-Each polygon also has one integer form, built on first use and kept in its
-slot: the vertices as integers (X_i, Y_i) over the lcm L of every coordinate
-denominator.  The area and the centroid are shoelace sums over its cross
-terms, a membership test is one integer sign per edge, a halfplane clip is
-one integer scan for the kept vertices and the edge crossings, and a cut
-area is one shoelace sum over that scan, so each builds one Fraction per
-coordinate of its result, or none, instead of one per step.
+Each polygon also has one integer form, kept in its slot: the vertices as
+integers (X_i, Y_i) over the lcm L of every coordinate denominator, handed
+on at birth by the hull, the translate and the validated constructor, else
+built on first use.  Area and centroid are shoelace sums over its cross
+terms, membership is one integer sign per edge, and a clip and a cut area
+are one integer scan for the kept vertices and edge crossings, so each builds
+one Fraction per coordinate of its result, or none, instead of one per step.
 """
 
 from __future__ import annotations
@@ -130,17 +130,18 @@ class VPolygon:
     The vertex tuple is canonicalized (lexicographically smallest vertex
     first), so two polygons describing the same set compare equal.  The
     integer form of `integer_form` is memoized in a slot and freed with the
-    polygon.
+    polygon; an untrusted vertex list is validated on it.
     """
 
     __slots__ = ("vertices", "_integer")
 
     def __init__(self, vertices: Sequence[Vec2], _trusted: bool = False):
         vs = tuple(vertices)
-        if not _trusted:
-            vs = _validated_ccw(vs)
-        object.__setattr__(self, "vertices", _canonical_rotation(vs))
-        object.__setattr__(self, "_integer", None)
+        form = None if _trusted else _validated_ccw(vs)
+        keys = form[0] if form else [(v.x, v.y) for v in vs]
+        k = min(range(len(vs)), key=keys.__getitem__)
+        object.__setattr__(self, "vertices", vs[k:] + vs[:k])
+        object.__setattr__(self, "_integer", form and (keys[k:] + keys[:k], form[1]))
 
     def __eq__(self, other):
         return isinstance(other, VPolygon) and self.vertices == other.vertices
@@ -158,29 +159,44 @@ class VPolygon:
         return frozenset(self.vertices)
 
 
-def _canonical_rotation(vs: tuple) -> tuple:
-    k = min(range(len(vs)), key=lambda i: (vs[i].x, vs[i].y))
-    return vs[k:] + vs[:k]
+def _from_integer(pts: Sequence, L: int) -> VPolygon:
+    """The polygon pts/L (integer points, strictly convex, CCW), keeping its
+    form after dividing out gcd(L, coordinates) and rotating to the least point."""
+    g = math.gcd(L, *(c for p in pts for c in p))
+    pts, L = [(x // g, y // g) for x, y in pts], L // g
+    k = min(range(len(pts)), key=pts.__getitem__)
+    pts = tuple(pts[k:] + pts[:k])
+    poly = object.__new__(VPolygon)
+    poly.vertices = tuple(Vec2(Fraction(x, L), Fraction(y, L)) for x, y in pts)
+    poly._integer = (pts, L)
+    return poly
+
+
+def _turn(o: tuple, a: tuple, b: tuple) -> int:
+    """orient(o, a, b) on integer pairs: > 0 iff (o, a, b) turns left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _validated_ccw(vs: tuple) -> tuple:
+    """The integer form of vs, in vs's order, once every check passes."""
     if len(vs) < 3:
         raise DegenerateInput("a polygon needs at least 3 vertices")
-    if len(set(vs)) != len(vs):
+    ints, L = _over_lcm([c for v in vs for c in (v.x, v.y)])
+    pts = tuple(zip(ints[::2], ints[1::2]))
+    if len(set(pts)) != len(pts):
         raise DegenerateInput("duplicate vertices")
-    n = len(vs)
-    for i in range(n):
-        if orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
-            raise DegenerateInput("vertices not in strictly convex CCW position")
+    nxt = pts[1:] + pts[:1]
+    if any(_turn(p, q, r) <= 0 for p, q, r in zip(pts, nxt, nxt[1:] + nxt[:1])):
+        raise DegenerateInput("vertices not in strictly convex CCW position")
     # Local convexity admits multiply-wound lists.  With every turn strictly
     # left and below pi, the edge angle passes 0 once per winding, which is
     # exactly where an edge in the upper half [pi, 2 pi) is followed by one
     # in the lower half [0, pi); the list is the hull order iff that happens
-    # once.
-    halves = [angle_half(vs[(i + 1) % n] - vs[i]) for i in range(n)]
-    if sum(halves[i] > halves[(i + 1) % n] for i in range(n)) != 1:
+    # once.  An edge (x, y) is in the upper half iff (y, x) <= (0, 0).
+    halves = [(y1 - y0, x1 - x0) <= (0, 0) for (x0, y0), (x1, y1) in zip(pts, nxt)]
+    if sum(h > g for h, g in zip(halves, halves[1:] + halves[:1])) != 1:
         raise DegenerateInput("vertex list is not a convex hull ordering")
-    return vs
+    return pts, L
 
 
 def angle_half(d: Vec2) -> int:
@@ -189,29 +205,28 @@ def angle_half(d: Vec2) -> int:
 
 
 def convex_hull(points: Iterable[Vec2]) -> VPolygon:
-    """Monotone-chain hull with exact orientation tests.
+    """Monotone-chain hull with integer orientation tests.
 
     Collinear middle points are dropped, so the result satisfies the strict
     VPolygon invariant; idempotent on an existing polygon's vertices.
     """
-    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    ints, L = _over_lcm([c for p in points for c in (p.x, p.y)])
+    pts = sorted(set(zip(ints[::2], ints[1::2])))
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 distinct points")
 
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and orient(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
+    hull = chain(pts)[:-1] + chain(reversed(pts))[:-1]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear")
-    return VPolygon(hull, _trusted=True)
+    return _from_integer(hull, L)
 
 
 def _over_lcm(qs: Sequence[Fraction]) -> tuple:
@@ -285,7 +300,10 @@ def edge_halfplanes(p: VPolygon) -> list:
 
 
 def translate_poly(p: VPolygon, v: Vec2) -> VPolygon:
-    return VPolygon(tuple(u + v for u in p.vertices), _trusted=True)
+    """p + v on the integer forms (X, Y)/L of p and (P, Q)/M of v, over lcm(L, M)."""
+    pts, L = integer_form(p)
+    (P, Q, a), N = _over_lcm((v.x, v.y, Fraction(1, L)))
+    return _from_integer([(x * a + P, y * a + Q) for x, y in pts], N)
 
 
 def scale_poly(p: VPolygon, r) -> VPolygon:

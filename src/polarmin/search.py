@@ -268,6 +268,10 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
     wx, wy = w.x * L, w.y * L
     stops = []
     for (p, q), bound, eq, a, hi, lo in _scans(cand, i):
+        # each max is at least its fixed part, so g(tau) >= (M_z + M_{-z})/2
+        # = (hi - lo)/(2 L) >= 1 for every tau and _tau_limit returns None
+        if not eq and hi - lo >= 2 * L:
+            continue
         b = wx * p + wy * q
         limit = _tau_limit(a, b, hi, -a, -b, -lo, bound, eq)
         if limit is not None:

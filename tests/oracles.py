@@ -2,7 +2,9 @@
 
 Deliberately written from scratch against the definitions (shoelace sums,
 edge-normal gauge, brute-force enumeration for the minima) so they do not
-share code paths with the library they check.  The one exception is the
+share code paths with the library they check.  The vertex-list checks and
+the angle merge of the central symmetral keep the Fraction loops that the
+library ran before it moved them onto the integer form.  The one exception is the
 piecewise-linear limit `search._tau_limit`, which `rotate_stop` calls with
 Fraction supports: it has tests of its own, and the oracle pins the inputs
 the integer rotate solve hands it.
@@ -11,7 +13,7 @@ the integer rotate solve hands it.
 import math
 from fractions import Fraction
 
-from polarmin.errors import Empty, Unbounded
+from polarmin.errors import DegenerateInput, Empty, Unbounded
 from polarmin.search import _tau_limit
 
 
@@ -165,18 +167,25 @@ def contact_points(ccw_vertices):
     return c0, c, by_vertex
 
 
+def _turn(o, a, b):
+    """Signed double area of the triangle (o, a, b) of (x, y) tuples."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _half(d):
+    """0 for a direction (x, y) with angle in [0, pi), 1 for [pi, 2 pi)."""
+    return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+
+
 def _hull(points):
     """CCW strictly convex hull of (x, y) tuples by monotone chain, starting
     at the lexicographically smallest point."""
     pts = sorted(set(points))
 
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -203,6 +212,63 @@ def clip_hull(vertices, a, c):
             points.append((u[0] + t * (w[0] - u[0]), u[1] + t * (w[1] - u[1])))
     hull = _hull(points)
     return hull if len(hull) >= 3 else None
+
+
+def validated_ccw(vertices):
+    """The checks of a strictly convex CCW vertex list of (x, y) tuples, in
+    order, one Fraction turn per vertex: at least 3 vertices, no duplicate,
+    every turn strictly left, then one winding (one edge from the upper half
+    of angles to the lower); raises DegenerateInput with the library's
+    message for the first check that fails, else returns the Fraction list."""
+    vs = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    n = len(vs)
+    if n < 3:
+        raise DegenerateInput("a polygon needs at least 3 vertices")
+    if len(set(vs)) != n:
+        raise DegenerateInput("duplicate vertices")
+    for i in range(n):
+        if _turn(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+            raise DegenerateInput("vertices not in strictly convex CCW position")
+    halves = [_half((vs[(i + 1) % n][0] - vs[i][0], vs[(i + 1) % n][1] - vs[i][1]))
+              for i in range(n)]
+    if sum(halves[i] > halves[(i + 1) % n] for i in range(n)) != 1:
+        raise DegenerateInput("vertex list is not a convex hull ordering")
+    return vs
+
+
+def merge_symmetral(vertices):
+    """Central symmetral (K - K)/2 of a CCW polygon of (x, y) tuples by the
+    Fraction angle merge of the edges of K and -K, each walked from its
+    lowest-then-leftmost vertex; output vertices (v_i - v_j)/2, rotated to
+    start at the lexicographically smallest."""
+    vs = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    n = len(vs)
+    edges = [(vs[(k + 1) % n][0] - vs[k][0], vs[(k + 1) % n][1] - vs[k][1])
+             for k in range(n)]
+    halves = [_half(e) for e in edges]
+    i = min(range(n), key=lambda k: (vs[k][1], vs[k][0]))
+    j = max(range(n), key=lambda k: (vs[k][1], vs[k][0]))
+    out = []
+    left_i = left_j = n
+    while left_i or left_j:
+        if not left_j:
+            order = -1
+        elif not left_i:
+            order = 1
+        elif halves[i] == halves[j]:  # e_i and -e_j in different halves
+            order = -1 if halves[i] == 0 else 1
+        else:
+            c = _turn((0, 0), edges[j], edges[i])  # cross(e_i, -e_j)
+            order = (c < 0) - (c > 0)
+        if order <= 0:
+            i = (i + 1) % n
+            left_i -= 1
+        if order >= 0:
+            j = (j + 1) % n
+            left_j -= 1
+        out.append(((vs[i][0] - vs[j][0]) / 2, (vs[i][1] - vs[j][1]) / 2))
+    k = out.index(min(out))
+    return out[k:] + out[:k]
 
 
 def pairwise_symmetral(vertices):

@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 import polarmin as pm
 from polarmin.cli import main
+from polarmin.jsonio import FORM_DIGITS
 
 
 def run(*args, **kwargs):
@@ -96,6 +97,22 @@ class TestAnalyzeCommand:
         res = run("analyze", write_body(tmp_path, doc))
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "limit exceeded" in res.output and "digits" in res.output
+
+    def test_integer_form_over_the_digit_cap_exit_2(self, tmp_path):
+        # L or a coordinate of FORM_DIGITS + 1 digits fails at parse time,
+        # before any polar or symmetral is built; FORM_DIGITS digits parse
+        big = 10**FORM_DIGITS
+
+        def triangle(x):
+            return {"type": "vpoly", "vertices": [[x, "0"], ["0", "1"], ["-1", "-1"]]}
+
+        for x in (str(big), f"1/{big}"):
+            res = run("analyze", write_body(tmp_path, triangle(x)))
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+            assert "limit exceeded" in res.output
+            assert f"over {FORM_DIGITS} digits" in res.output
+        for x in (str(big - 1), f"1/{big - 1}"):
+            assert len(pm.body_from_json(triangle(x)).polygon) == 3
 
     def _parse_error(self, tmp_path, doc):
         res = run("analyze", write_body(tmp_path, doc))

@@ -14,7 +14,13 @@ also on a polygon with coordinates near 10^300 and on a 256-gon.  The
 contact maps are checked on feasible search candidates, and so are the
 integer solves of the push and rotate moves, against Fraction supports over
 the vertices.  The halfplane intersection is checked on small random row
-sets and on the shuffled edge rows of the bodies.
+sets and on the shuffled edge rows of the bodies.  The integer hull is
+checked against a monotone chain over Fraction tuples, on point sets with
+duplicates, collinear runs, mixed denominators and coordinates near 10^6;
+the integer vertex-list checks and symmetral merge against their Fraction
+loops; every integer form that a hull, symmetral, translate or validated
+polygon is born with against a fresh one; and the `edge_rotate` pre-test
+against `_tau_limit`.
 """
 
 import math
@@ -26,12 +32,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import polarmin as pm
 from polarmin import Body, HPolytope, vec
+from polarmin.core import _over_lcm
 from polarmin.minima import witness_key
-from polarmin.search import sample_feasible
+from polarmin.search import _tau_limit, sample_feasible
 
 from oracles import _hull, area_centroid, clip_hull, contact_points, edge_gauge, \
-    halfplane_vertices, move_constraints, orient_contains, pairwise_symmetral, \
-    polar_directions, push_points, rotate_stop, shoelace, short_vectors, signed_area
+    halfplane_vertices, merge_symmetral, move_constraints, orient_contains, \
+    pairwise_symmetral, polar_directions, push_points, rotate_stop, shoelace, \
+    short_vectors, signed_area, validated_ccw
 from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
@@ -433,3 +441,89 @@ def test_halfplane_intersection_of_shuffled_edge_rows(K, rnd, extra):
     assert got == _oracle_intersection(rows)
     if all(shift >= 0 for _, _, shift in extra):
         assert got == _tuples(K)
+
+
+@st.composite
+def point_sets(draw):
+    """(x, y) Fraction tuples: up to 12 points with their own denominators,
+    points on the segments between drawn points, repeats, all scaled by 1 or
+    10^6 and moved by 0 or 10^6, in a drawn order."""
+    pts = [(F(x, d), F(y, d)) for x, y, d in draw(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 12)),
+        min_size=1, max_size=12))]
+    for _ in range(draw(st.integers(0, 2))):  # a collinear run
+        (x0, y0), (x1, y1) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        m = draw(st.integers(1, 6))
+        pts += [(x0 + (x1 - x0) * F(k, m), y0 + (y1 - y0) * F(k, m)) for k in range(m + 1)]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))  # repeats
+    scale, shift = draw(st.sampled_from([1, 10**6])), draw(st.sampled_from([0, 10**6]))
+    return draw(st.permutations([(x * scale + shift, y * scale - shift) for x, y in pts]))
+
+
+def _fresh_form(poly):
+    """The integer form of poly's vertices, built afresh from its Fractions."""
+    ints, L = _over_lcm([c for v in poly.vertices for c in (v.x, v.y)])
+    return tuple(zip(ints[::2], ints[1::2])), L
+
+
+@settings(max_examples=200)
+@given(point_sets())
+@example([(0, 0), (1, 0), (2, 0), (2, 0), (F(1, 2), 1), (1, F(1, 3))])
+def test_hull_matches_monotone_chain_oracle(pts):
+    expected = _hull(pts)
+    if len(expected) < 3:
+        with pytest.raises(pm.DegenerateInput):
+            pm.convex_hull(vec(*p) for p in pts)
+        return
+    hull = pm.convex_hull(vec(*p) for p in pts)
+    assert [(v.x, v.y) for v in hull.vertices] == expected
+    assert hull._integer == _fresh_form(hull)
+
+
+@given(bodies, points, st.integers(0, 47))
+def test_born_integer_forms_match_fresh_forms(K, q, i):
+    # the shifts move a vertex onto the origin and by an arbitrary point;
+    # the first cancels denominators, so the born form must be reduced
+    vs = K.polygon.vertices
+    fresh = Body(poly=K.polygon)
+    sym = pm.central_symmetral(fresh).polygon
+    assert _tuples(pm.central_symmetral(fresh)) == merge_symmetral(_tuples(fresh))
+    built = [pm.convex_hull(vs + (vec(*q),)), sym,
+             pm.core.translate_poly(K.polygon, -vs[i % len(vs)]),
+             pm.core.translate_poly(K.polygon, vec(*q)),
+             pm.VPolygon(vs[i % len(vs):] + vs[:i % len(vs)])]
+    for poly in built:
+        assert poly._integer == _fresh_form(poly)
+
+
+@given(st.lists(points, min_size=3, max_size=8, unique=True), st.randoms(use_true_random=False))
+def test_validated_constructor_matches_fraction_checks(pts, rnd):
+    hull = _hull(pts)
+    k = rnd.randrange(len(hull)) if hull else 0
+    rotated = hull[k:] + hull[:k]
+    shuffled = list(pts)
+    rnd.shuffle(shuffled)
+    for cand in (pts, shuffled, rotated, rotated[::-1], rotated[::2] + rotated[1::2],
+                 rotated + rotated, rotated + rotated[:1], rotated[:2]):
+        try:
+            expected = validated_ccw(cand)
+        except pm.DegenerateInput as exc:
+            with pytest.raises(pm.DegenerateInput, match=f"^{exc}$"):
+                pm.VPolygon([vec(*p) for p in cand])
+            continue
+        poly = pm.VPolygon([vec(*p) for p in cand])
+        j = expected.index(min(expected))
+        assert [(v.x, v.y) for v in poly.vertices] == expected[j:] + expected[:j]
+        assert poly._integer == _fresh_form(poly)
+
+
+rationals = st.fractions(-50, 50, max_denominator=12)
+
+
+@given(rationals, rationals, rationals, rationals, st.fractions(0, 20, max_denominator=12))
+# a falling piece that meets the bound exactly where it turns flat
+@example(F(3), F(-1), F(0), F(1), F(0))
+def test_tau_limit_is_none_when_the_fixed_parts_meet_the_bound(a, b, lo, bound, gap):
+    # the edge_rotate pre-test skips ">=" constraints with hi - lo >= 2 bound
+    hi = lo + 2 * bound + gap
+    assert _tau_limit(a, b, hi, -a, -b, -lo, bound, False) is None
