@@ -300,7 +300,7 @@ def edge_halfplanes(p: VPolygon) -> list:
 
 
 def translate_poly(p: VPolygon, v: Vec2) -> VPolygon:
-    """p + v on the integer forms (X, Y)/L of p and (P, Q)/M of v, over lcm(L, M)."""
+    """p + v over N, the lcm of L and v's denominators: v = (P, Q)/N, a = N/L."""
     pts, L = integer_form(p)
     (P, Q, a), N = _over_lcm((v.x, v.y, Fraction(1, L)))
     return _from_integer([(x * a + P, y * a + Q) for x, y in pts], N)

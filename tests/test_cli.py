@@ -88,8 +88,9 @@ class TestAnalyzeCommand:
         assert "parse error" in res.output
 
     def test_value_too_long_to_print_exit_2(self, tmp_path):
-        # coordinates of 1200 digits give output values past the
-        # interpreter's digit limit for integer string conversion
+        # coordinates of 1200 digits are over the parse-time digit cap;
+        # test_value_too_long_to_print_under_the_cap_exit_2 reaches the
+        # print limit itself
         N = 10**1200
         q = lambda k: f"{N + k}/{N}"
         doc = {"type": "vpoly", "vertices": [[q(1), q(2)], ["-" + q(3), q(4)],
@@ -97,6 +98,17 @@ class TestAnalyzeCommand:
         res = run("analyze", write_body(tmp_path, doc))
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "limit exceeded" in res.output and "digits" in res.output
+
+    def test_value_too_long_to_print_under_the_cap_exit_2(self, tmp_path):
+        # 1000-digit coordinates pass the digit cap, and the output values
+        # pass the interpreter's digit limit for integer string conversion
+        N = 10**1000
+        q = lambda k: f"{N + k}/{N}"
+        doc = {"type": "vpoly", "vertices": [[q(1), q(2)], ["-" + q(3), q(4)],
+                                             ["-" + q(5), "-" + q(6)], [q(7), "-" + q(8)]]}
+        res = run("analyze", write_body(tmp_path, doc))
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "limit exceeded: exact value too long to print" in res.output
 
     def test_integer_form_over_the_digit_cap_exit_2(self, tmp_path):
         # L or a coordinate of FORM_DIGITS + 1 digits fails at parse time,
