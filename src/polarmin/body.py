@@ -4,11 +4,10 @@ A Body wraps a planar VPolygon or stays symbolic in higher dimensions, where
 only closed-form data is available.  Every derived quantity has one
 linear-time, hull-free code path and is computed at most once per body:
 
-  * the polar's vertices are read off the edges of K (the edge <n, x> = c
-    dualizes to the vertex w = n/c), and K°'s are K's vertices; polar reads
-    them as points, gauge as integer rows (a, b) = D * w over their common
-    denominator D, built on first use by a gauge or the minima walk, so a
-    gauge is integer multiply-adds and a polar alone never pays for D;
+  * the polar's vertices are read off the integer edges of K (the edge
+    <n, x> = c dualizes to the vertex w = n/c), and its polar is a body on
+    K's polygon; `gauge_rows` is the polar's integer form, rows (a, b) = D * w
+    over their common denominator D, so gauges and the minima are integer work;
   * the area, which the checks ask of the same body several times;
   * whether the origin is interior, which the polar, the search and the
     checks all ask;
@@ -38,16 +37,15 @@ class Body:
 
     `family` keeps provenance as (name, params dict) when the body was built
     by a family constructor.  All values are immutable after construction;
-    each memo (area, interior origin, polar directions and their integer
-    rows, polar, symmetral, minima certificate, centroid translate) is
-    populated at most once, so concurrent readers always observe a single
-    consistent value.  No memo refers back to its body, so reference
-    counting, not the cycle collector, frees a body and its memos.
+    each memo (area, interior origin, polar, symmetral, minima certificate,
+    centroid translate) is populated at most once, so concurrent readers
+    always observe a single consistent value.  No memo refers back to its
+    body, so reference counting, not the cycle collector, frees a body and
+    its memos.
     """
 
     __slots__ = ("dim", "family", "_poly", "_hrep", "_volume", "_origin_open",
-                 "_polar_dirs", "_gauge_rows", "_polar", "_symmetral",
-                 "_minima", "_centered")
+                 "_polar", "_symmetral", "_minima", "_centered")
 
     def __init__(self, poly: VPolygon | None = None, hrep: HPolytope | None = None,
                  family=None, dim: int = 2):
@@ -57,8 +55,6 @@ class Body:
         self.dim = dim
         self._volume = None
         self._origin_open = None
-        self._polar_dirs = None
-        self._gauge_rows = None
         self._polar = None
         self._symmetral = None
         self._minima = None
@@ -141,33 +137,27 @@ def support(K, u: Vec2) -> Fraction:
     return max(u.dot(v) for v in K.polygon.vertices)
 
 
-def _polar_dirs(K: Body) -> tuple:
-    # Vertices of the polar body, one per edge of K, in edge order but
-    # without hull work: the edge {<n,x> = c} of K dualizes to the point n/c.
-    # Over the integer form, n = (Y_{i+1} - Y_i, X_i - X_{i+1})/L and
-    # c = C_i/L^2, so n/c = L (Y_{i+1} - Y_i, X_i - X_{i+1})/C_i.
-    if K._polar_dirs is None:
-        if not K.contains_origin("open"):
-            raise OriginNotInterior("gauge/polar need the origin strictly inside")
-        pts, L = core.integer_form(K.polygon)
-        K._polar_dirs = tuple(
-            Vec2(Fraction(L * (y1 - y0), c), Fraction(L * (x0 - x1), c))
-            for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], core._cross_terms(pts)))
-    return K._polar_dirs
+def _dual_edges(K: Body) -> list:
+    """(u_i, v_i, C_i) per edge of K over its integer form: the edge dualizes
+    to the polar's vertex (u_i, v_i)/C_i = L (Y_{i+1} - Y_i, X_i - X_{i+1})/C_i."""
+    pts, L = core.integer_form(K.polygon)
+    return [(L * (y1 - y0), L * (x0 - x1), c)
+            for (x0, y0), (x1, y1), c in zip(pts, pts[1:] + pts[:1], core._cross_terms(pts))]
 
 
 def gauge_rows(K) -> tuple:
-    """(rows, D): the polar directions w_i of K as integer rows
-    (a_i, b_i) = D * w_i, D the least common denominator; built on the
-    first call, by a gauge or the minima walk, and memoized."""
+    """(rows, D): polar(K)'s integer form, its vertices w_i as rows (a_i, b_i)
+    = D * w_i over their lcm D, in CCW order, built on first use from
+    `_dual_edges`; the lcm of w_i's coordinate denominators is C_i/gcd(u_i, v_i, C_i)."""
     K = as_body(K)
-    if K._gauge_rows is None:
-        dirs = _polar_dirs(K)
-        D = math.lcm(*(c.denominator for w in dirs for c in (w.x, w.y)))
-        K._gauge_rows = (tuple((w.x.numerator * (D // w.x.denominator),
-                                w.y.numerator * (D // w.y.denominator))
-                               for w in dirs), D)
-    return K._gauge_rows
+    dual = polar(K).polygon
+    if dual._integer is None:
+        duals = _dual_edges(K)
+        D = math.lcm(*(c // math.gcd(u, v, c) for u, v, c in duals))
+        rows = [(u * D // c, v * D // c) for u, v, c in duals]
+        k = min(range(len(rows)), key=rows.__getitem__)  # D > 0 keeps the order
+        dual._integer = (tuple(rows[k:] + rows[:k]), D)
+    return dual._integer
 
 
 _ZERO = Fraction(0)
@@ -177,7 +167,7 @@ def gauge(K, x: Vec2) -> Fraction:
     """Minkowski functional ||x||_K = min{t >= 0 : x in tK}.
 
     Equals the support function of the polar body, max <x, w_i> over the
-    memoized polar directions.  Writing x = (P, Q)/L in lowest terms, that
+    vertices w_i of K°.  Writing x = (P, Q)/L in lowest terms, that
     is max(a_i P + b_i Q)/(D L) over the integer rows of `gauge_rows`, so a
     call does integer multiply-adds and builds one Fraction.
     """
@@ -193,17 +183,20 @@ def gauge(K, x: Vec2) -> Fraction:
 def polar(K) -> Body:
     """K° = {y : <x, y> <= 1 for all x in K}, memoized on K.
 
-    The vertices of K° are the memoized polar directions n/c, one per edge
-    {<n, x> = c} of K and already in counterclockwise order, so the polar
-    costs O(m) and no hull or halfplane work.  K° is handed K's vertices as
-    its own polar directions but no link back to K, so polar(polar(K)) is a
-    fresh body equal to K, built in O(m) from those directions.
-    """
+    The vertices of K° are the points n/c, one per edge {<n, x> = c} of K,
+    read off K's integer form by `_dual_edges`, already counterclockwise, so the
+    polar costs O(m) and no hull or halfplane work.  Its integer form, whose
+    denominator can have m times the digits of K's, waits for its first
+    reader (`gauge_rows`, an area).  K°'s own polar is a new body around K's
+    polygon, with no link back to K."""
     K = as_body(K)
     if K._polar is None:
-        dual = Body(poly=VPolygon(_polar_dirs(K), _trusted=True))
-        dual._polar_dirs = K.polygon.vertices
-        K._polar = dual
+        if not K.contains_origin("open"):
+            raise OriginNotInterior("gauge/polar need the origin strictly inside")
+        K._polar = Body(poly=VPolygon([Vec2(Fraction(u, c), Fraction(v, c))
+                                       for u, v, c in _dual_edges(K)], _trusted=True))
+        K._polar._polar = Body(poly=K.polygon)
+        K._polar._polar._origin_open = True
     return K._polar
 
 
@@ -251,9 +244,9 @@ def central_symmetral(K) -> Body:
 
 
 def is_symmetric(K) -> bool:
-    """True iff K = -K exactly."""
-    vs = as_body(K).polygon.vertex_set()
-    return vs == frozenset(-v for v in vs)
+    """True iff K = -K exactly: the integer form's point set is its own negative."""
+    pts, _ = core.integer_form(as_body(K).polygon)
+    return set(pts) == {(-x, -y) for x, y in pts}
 
 
 def translate(K, v: Vec2) -> Body:

@@ -119,11 +119,6 @@ E1 = vec(1, 0)
 E2 = vec(0, 1)
 
 
-def orient(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
-    """Signed double area of the triangle (o, a, b); > 0 iff left turn."""
-    return (a - o).cross(b - o)
-
-
 class VPolygon:
     """Strictly convex polygon, vertices counterclockwise, no three collinear.
 
@@ -173,7 +168,8 @@ def _from_integer(pts: Sequence, L: int) -> VPolygon:
 
 
 def _turn(o: tuple, a: tuple, b: tuple) -> int:
-    """orient(o, a, b) on integer pairs: > 0 iff (o, a, b) turns left."""
+    """Twice the signed area of the triangle (o, a, b) of integer pairs:
+    > 0 iff (o, a, b) turns left."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -273,8 +269,8 @@ def centroid(p: VPolygon) -> Vec2:
 def contains(p: VPolygon, q: Vec2, mode: str = "closed") -> bool:
     """Exact membership test; mode "open" tests interior membership.
 
-    With q = (P, Q)/M over the integer form of p, the sign of
-    orient(v_i, v_{i+1}, q) is that of
+    With q = (P, Q)/M over the integer form of p, the sign of the turn
+    (v_i, v_{i+1}, q) is that of
     (X_{i+1} - X_i)(Q L - Y_i M) - (Y_{i+1} - Y_i)(P L - X_i M),
     which is the cross term C_i at the origin."""
     if mode not in ("closed", "open"):
@@ -373,10 +369,10 @@ def halfplane_intersect(h: HPolytope) -> VPolygon:
         the back, then from the front, while the vertex at that end is not
         strictly inside it, and the two ends are finally trimmed against
         each other.  A row that turns by pi or more from the back row, fewer
-        than 3 surviving rows, or lower-dimensional surviving vertices
-        raise Empty.
+        than 3 surviving rows, or fewer than 3 distinct corners raise Empty.
 
     Every input row either supports an edge of the result or is redundant.
+    The corners, already in CCW order, are the result with no hull.
     """
     planar = h.planar_rows()
     for n, c in planar:
@@ -424,23 +420,21 @@ def halfplane_intersect(h: HPolytope) -> VPolygon:
     if len(lines) < 3 or m.cross(n) <= 0:
         raise Empty("intersection is empty or lower-dimensional")
     corners.append(_line_intersection(m, d, n, c))
-    try:
-        return convex_hull(corners)
-    except DegenerateInput:
-        raise Empty("intersection is lower-dimensional") from None
+    # corners[i - 1] and corners[i] lie on lines[i], and consecutive rows have
+    # distinct directions (m.cross(n) > 0), so three consecutive corners are
+    # collinear only if two coincide: without repeats they are strictly convex.
+    kept = [q for q, r in zip(corners, list(corners)[1:] + [corners[0]]) if q != r]
+    if len(kept) < 3:
+        raise Empty("intersection is lower-dimensional")
+    return VPolygon(kept, _trusted=True)
 
 
-def _clip_points(p: VPolygon, a: Vec2, c) -> tuple:
-    """(out, L): the boundary points of p ∩ {x : <a, x> <= c} in CCW order
-    over the integer form of p, each as (x, y, d), the point (x, y)/(d L).
-
-    With a and c scaled to integers (A, B) and C, the sign of
-    s_i = A X_i + B Y_i - C L is that of <a, v_i> - c.  The vertices with
-    s_i <= 0 are kept and each strict sign change along the edge (U, W)
-    adds the crossing (s_u W - s_w U)/(s_u - s_w).
-    """
+def _clip_points(p: VPolygon, A: int, B: int, C: int) -> tuple:
+    """(out, L): the boundary points of p ∩ {x : A x + B y <= C}, A, B, C
+    integers, in CCW order over p's integer form, each (x, y, d) the point
+    (x, y)/(d L): the vertices with s_i = A X_i + B Y_i - C L <= 0 and, per
+    strict sign change along an edge (U, W), (s_u W - s_w U)/(s_u - s_w)."""
     pts, L = integer_form(p)
-    (A, B, C), _ = _over_lcm((a.x, a.y, rat(c)))
     s = [A * x + B * y - C * L for x, y in pts]
     out = []
     n = len(pts)
@@ -460,7 +454,7 @@ def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
     Returns None when the clipped region is empty or lower-dimensional.
     `cut_area` gives its area, or 0 for None, without building it.
     """
-    out, L = _clip_points(p, a, c)
+    out, L = _clip_points(p, *_over_lcm((a.x, a.y, rat(c)))[0])
     # A line meets a strictly convex boundary in at most two points or one
     # edge, and a crossing lies strictly inside its edge, so 3 or more kept
     # points include one strictly inside the halfplane and are strictly
@@ -473,13 +467,15 @@ def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
 
 def cut_area(p: VPolygon, a: Vec2, c) -> Fraction:
     """Area of p ∩ {x : <a, x> <= c}, equal to area(clip_halfplane(p, a, c))
-    and 0 where that clip is None, without building the clip.
+    and 0 where that clip is None: `_cut_area` of a and c over their lcm."""
+    return _cut_area(p, *_over_lcm((a.x, a.y, rat(c)))[0])
 
-    The cross products of consecutive points of `_clip_points` are summed
-    over the product D of their denominators d, and the one Fraction built
-    is that sum over 2 L^2 D.
-    """
-    out, L = _clip_points(p, a, c)
+
+def _cut_area(p: VPolygon, A: int, B: int, C: int) -> Fraction:
+    """Area of p ∩ {x : A x + B y <= C}, A, B, C integers, with no clip built:
+    the cross products of consecutive points of `_clip_points` summed over
+    the product D of their denominators d, and one Fraction, over 2 L^2 D."""
+    out, L = _clip_points(p, A, B, C)
     if len(out) < 3:
         return Fraction(0)
     D = math.prod(d for _, _, d in out)

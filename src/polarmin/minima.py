@@ -1,8 +1,9 @@
 """Certified successive minima of planar bodies with respect to Z².
 
 The enumeration is made complete by the bound gauge(z) >= |z_j| / extent_j,
-where extent_j is the body's maximal |x_j|: every lattice point outside the
-searched box therefore has gauge strictly above the certified radius.
+where extent_j is the body's maximal |x_j|, read off the integer rows of its
+polar: every lattice point outside the searched box therefore has gauge
+strictly above the certified radius.
 
 The minima are invariant under unimodular maps, so the lattice is walked in
 the coordinates y of z = By for a basis B of Z² reduced for the body by the
@@ -191,10 +192,19 @@ def _gauss_reduce(rows):
         b1, b2, n1 = b2, b1, n2
 
 
+def _extent(rows, D, p, q):
+    """max |p x + q y| over the body, off the integer form (rows, D) of its
+    polar: the support at w = ±(p, q) is the polar's gauge D <n, w>/C on the
+    one edge {<n, y> = C/D}, from R_i to R_{i+1}, whose cone holds w."""
+    (s, c), (t, d) = [((y1 - y0) * u + (x0 - x1) * v, x0 * y1 - x1 * y0)
+                      for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1])
+                      for u, v in ((p, q), (-p, -q)) if x0 * v - y0 * u >= 0 > x1 * v - y1 * u]
+    return Fraction(D * max(s * d, t * c), c * d)
+
+
 def _certify(K: Body) -> MinimaCert:
-    vs = K.polygon.vertices
-    ext = max(abs(v.x) for v in vs), max(abs(v.y) for v in vs)
     rows, D = gauge_rows(K)
+    ext = _extent(rows, D, 1, 0), _extent(rows, D, 0, 1)
     seeds = _seeds(rows)
     radius = _radius(seeds)
     n1, n2, n11, n1m = (max(pair) for pair in seeds)
@@ -207,8 +217,7 @@ def _certify(K: Body) -> MinimaCert:
         # y = B⁻¹x, det B = +-1, is set by the extents of B⁻¹K
         walk_rows = tuple((a * b1[0] + b * b1[1], a * b2[0] + b * b2[1])
                           for a, b in rows)
-        walk_ext = (max(abs(b2[1] * v.x - b2[0] * v.y) for v in vs),
-                    max(abs(b1[0] * v.y - b1[1] * v.x) for v in vs))
+        walk_ext = _extent(rows, D, b2[1], -b2[0]), _extent(rows, D, -b1[1], b1[0])
         walk_radius = _radius(_seeds(walk_rows))
     found, l2 = _walk(walk_rows, D, walk_ext, walk_radius)
     (a, b), (c, d) = b1, b2

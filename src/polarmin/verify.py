@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .body import Body, as_body, centered, central_symmetral, is_symmetric, \
     polar
-from .core import E1, E2, Vec2, centroid, convex_hull, cut_area, rat, rat_str, \
-    translate_poly, vec
+from .core import E1, E2, Vec2, _cut_area, _over_lcm, centroid, convex_hull, rat, \
+    rat_str, translate_poly, vec
 from .errors import DegenerateInput, OriginNotInterior, ZeroNormal
 from .families import FamilySpec, closed_form_volume, make
 from .minima import successive_minima
@@ -146,13 +146,14 @@ def check_grunbaum(K, a: Vec2) -> Report:
     """Centered halfspace cut: vol(K ∩ {<a,x> >= 0}) >= (4/9) vol(K).
 
     K is translated to its centroid internally; that makes the classical
-    constant (n/(n+1))^n = 4/9 valid for every nonzero normal.  The cut
-    area is `cut_area` of the centered polygon by {<-a, x> <= 0}: one
-    integer shoelace sum, with no clipped polygon built."""
+    constant (n/(n+1))^n = 4/9 valid for every nonzero normal.  The cut area
+    is `_cut_area` of the centered polygon by {-A x - B y <= 0}, a = (A, B)/M
+    scaled to integers once: one integer shoelace sum, with no clip built."""
     if a.is_zero():
         raise ZeroNormal("halfspace normal must be nonzero")
     Kc = centered(K)
-    lhs = cut_area(Kc.polygon, -a, 0)
+    (A, B), _ = _over_lcm((a.x, a.y))
+    lhs = _cut_area(Kc.polygon, -A, -B, 0)
     meta = {"normal": f"({rat_str(a.x)}, {rat_str(a.y)})"}
     return _report("gruenbaum", lhs, Fraction(4, 9) * Kc.volume(), "ge", meta=meta)
 

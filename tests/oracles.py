@@ -2,9 +2,10 @@
 
 Deliberately written from scratch against the definitions (shoelace sums,
 edge-normal gauge, brute-force enumeration for the minima) so they do not
-share code paths with the library they check.  The vertex-list checks and
-the angle merge of the central symmetral keep the Fraction loops that the
-library ran before it moved them onto the integer form.  The one exception is the
+share code paths with the library they check.  The vertex-list checks, the
+angle merge of the central symmetral, the gauge rows and the vertex-set
+symmetry test keep the Fraction loops that the library ran before it moved
+them onto the integer form.  The one exception is the
 piecewise-linear limit `search._tau_limit`, which `rotate_stop` calls with
 Fraction supports: it has tests of its own, and the oracle pins the inputs
 the integer rotate solve hands it.
@@ -78,6 +79,21 @@ def polar_directions(ccw_vertices):
         c = nx * x0 + ny * y0
         out.append((nx / c, ny / c))
     return out
+
+
+def fraction_gauge_rows(ccw_vertices):
+    """(rows, D): the polar directions of `polar_directions`, in edge order,
+    as integer rows over D, the lcm of their denominators, read off each
+    Fraction's numerator and denominator."""
+    dirs = [(Fraction(x), Fraction(y)) for x, y in polar_directions(ccw_vertices)]
+    D = math.lcm(*(c.denominator for w in dirs for c in w))
+    return [tuple(c.numerator * (D // c.denominator) for c in w) for w in dirs], D
+
+
+def vertex_set_symmetric(ccw_vertices) -> bool:
+    """Whether the vertex set, as Fraction pairs, is its own negative."""
+    vs = {(Fraction(x), Fraction(y)) for x, y in ccw_vertices}
+    return vs == {(-x, -y) for x, y in vs}
 
 
 def edge_gauge(ccw_vertices, z) -> Fraction:

@@ -93,11 +93,12 @@ class TestPolar:
             pm.polar(shifted)
 
     def test_polar_leaves_gauge_rows_unbuilt(self):
-        # the rows cost an lcm over all polar directions; only a gauge of K
-        # needs them, and the minima of K° take gauges of K° alone
+        # the gauge rows of K are no memo of their own: they are the integer
+        # form that polar(K) is born with, and the minima of K° take gauges
+        # of K° alone
         K = pm.apply_transform(pm.Transform2.linear(1, 0, 7, 1), T23)
         cert = pm.successive_minima(pm.polar(K))
-        assert K._gauge_rows is None
+        assert pm.body.gauge_rows(K) is pm.polar(K).polygon._integer
         assert cert.to_json() == {"lambda": ["2", "3"], "witnesses": [[1, 0], [5, -1]],
                                   "radius": "11", "extents": ["15/4", "1/2"]}
         assert cert.basis == (vec(1, 0), vec(-8, 1))

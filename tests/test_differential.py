@@ -37,9 +37,9 @@ from polarmin.minima import witness_key
 from polarmin.search import _tau_limit, sample_feasible
 
 from oracles import _hull, area_centroid, clip_hull, contact_points, edge_gauge, \
-    halfplane_vertices, merge_symmetral, move_constraints, orient_contains, \
-    pairwise_symmetral, polar_directions, push_points, rotate_stop, shoelace, \
-    short_vectors, signed_area, validated_ccw
+    fraction_gauge_rows, halfplane_vertices, merge_symmetral, move_constraints, \
+    orient_contains, pairwise_symmetral, polar_directions, push_points, rotate_stop, \
+    shoelace, short_vectors, signed_area, validated_ccw, vertex_set_symmetric
 from test_body import random_unimodular
 
 CORPUS = pm.random_bodies(11, 40)
@@ -344,7 +344,9 @@ def test_integer_kernel_matches_fraction_loops(K, origin, i, q):
     inside = fresh.contains_origin("open")
     assert inside == (origin == "centered")
     if inside:
-        assert [(w.x, w.y) for w in pm.body._polar_dirs(fresh)] == polar_directions(vs)
+        dirs = polar_directions(vs)
+        k = dirs.index(min(dirs))
+        assert _tuples(pm.polar(fresh)) == dirs[k:] + dirs[:k]
     else:
         with pytest.raises(pm.OriginNotInterior):
             pm.polar(fresh)
@@ -527,3 +529,79 @@ def test_tau_limit_is_none_when_the_fixed_parts_meet_the_bound(a, b, lo, bound, 
     # the edge_rotate pre-test skips ">=" constraints with hi - lo >= 2 bound
     hi = lo + 2 * bound + gap
     assert _tau_limit(a, b, hi, -a, -b, -lo, bound, False) is None
+
+
+@st.composite
+def reduced_shears(draw):
+    """A corpus polygon under x -> (x + k y, y) or y -> (y + k x), |k| in
+    5..60, whose minima walk runs in a Gauss-reduced basis."""
+    K = draw(st.sampled_from(CORPUS))
+    k = draw(st.integers(5, 60)) * draw(st.sampled_from([1, -1]))
+    T = pm.Transform2.linear(1, k, 0, 1) if draw(st.booleans()) \
+        else pm.Transform2.linear(1, 0, k, 1)
+    image = pm.apply_transform(T, K)
+    assume(pm.successive_minima(image).basis != (pm.E1, pm.E2))
+    return image
+
+
+@given(bodies)
+@example(HUGE)
+def test_polar_form_built_by_gauge_rows_matches_fresh_form(K):
+    # gauge_rows hands the polar the form it builds from K's integer edges
+    fresh = Body(poly=K.polygon)
+    for B in (fresh, pm.central_symmetral(fresh)):
+        rows = pm.body.gauge_rows(B)
+        dual = pm.polar(B).polygon
+        assert dual._integer is rows
+        assert rows == _fresh_form(dual)
+
+
+@given(bodies)
+@example(HUGE)
+def test_gauge_rows_match_fraction_rows(K):
+    # the same rows over the same D, in the polar's rotation, not edge order
+    fresh = Body(poly=K.polygon)
+    for B in (fresh, pm.central_symmetral(fresh), pm.polar(fresh)):
+        rows, D = pm.body.gauge_rows(B)
+        expected, D0 = fraction_gauge_rows(_tuples(B))
+        assert D == D0
+        assert sorted(rows) == sorted(expected)
+
+
+def _fraction_extent(B, p, q):
+    return max(abs(p * v.x + q * v.y) for v in B.polygon.vertices)
+
+
+@given(st.one_of(bodies, reduced_shears()))
+@example(HUGE)
+def test_extents_match_fraction_max_over_vertices(K):
+    # the box extents, and the extents of the reduced box, which are the
+    # same maxima in the directions (b2y, -b2x) and (-b1y, b1x)
+    for B in (K, pm.polar(K), pm.central_symmetral(K), pm.polar(pm.central_symmetral(K))):
+        cert = pm.successive_minima(Body(poly=B.polygon))
+        assert cert.extents == (_fraction_extent(B, 1, 0), _fraction_extent(B, 0, 1))
+        rows, D = pm.body.gauge_rows(B)
+        b1, b2 = cert.basis
+        for p, q in ((b2.y, -b2.x), (-b1.y, b1.x)):
+            assert pm.minima._extent(rows, D, int(p), int(q)) == _fraction_extent(B, p, q)
+
+
+@given(bodies, points)
+@example(HUGE, (F(10**300, 7), 1))
+@example(NGON256, (F(1, 3), 0))
+def test_is_symmetric_matches_vertex_set_oracle(K, q):
+    sym = pm.central_symmetral(K)
+    for B in (K, sym, pm.translate(sym, vec(*q)), pm.polar(sym)):
+        assert pm.is_symmetric(B) == vertex_set_symmetric(_tuples(B))
+    assert pm.is_symmetric(sym)
+
+
+@given(bodies, points, st.tuples(ratios, ratios).filter(lambda a: a != (0, 0)))
+@example(HUGE, (0, 0), (F(1, 3), F(-2, 5)))
+@example(NGON256, (F(5, 2), F(-1, 3)), (1, 0))
+def test_grunbaum_cut_matches_shoelace_of_clip_hull(K, q, a):
+    # K and a translate of it; the cut is of the centered body by <-a, x> <= 0
+    for B in (K, pm.translate(K, vec(*q))):
+        lhs = pm.check_grunbaum(B, vec(*a)).lhs
+        hull = clip_hull(_tuples(pm.centered(B)), (-a[0], -a[1]), 0)
+        assert lhs == (0 if hull is None else shoelace(hull))

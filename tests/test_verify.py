@@ -217,7 +217,8 @@ class TestSuiteInvariants:
 
     def test_each_body_area_computed_once(self, monkeypatch, corpus60):
         # K, K° and cs(K)° each have their area taken once (K is centered),
-        # and each Grünbaum cut is one cut_area sum, with no clipped polygon
+        # and each Grünbaum cut is one integer cut sum by the negated integer
+        # normal, with no clipped polygon
         calls = []
         inner = pm.core.area
         monkeypatch.setattr(pm.core, "area", lambda p: calls.append(p) or inner(p))
@@ -226,14 +227,14 @@ class TestSuiteInvariants:
         monkeypatch.setattr(pm.core, "clip_halfplane",
                             lambda *a: clips.append(a) or clip(*a))
         cuts = []
-        cut = pm.verify.cut_area
-        monkeypatch.setattr(pm.verify, "cut_area", lambda *a: cuts.append(a) or cut(*a))
+        cut = pm.verify._cut_area
+        monkeypatch.setattr(pm.verify, "_cut_area", lambda *a: cuts.append(a) or cut(*a))
         K = pm.Body(poly=corpus60[0].polygon)
         assert pm.centered(K) is K
         normals = random_normals("areas", 20)
         standard_checks(K, normals)
         assert clips == []
-        assert cuts == [(K.polygon, -a, 0) for a in normals]
+        assert cuts == [(K.polygon, -int(a.x), -int(a.y), 0) for a in normals]
         bodies = [K.polygon, pm.polar(K).polygon,
                   pm.polar(pm.central_symmetral(K)).polygon]
         assert len(calls) == 3 and set(calls) == set(bodies)
