@@ -3,7 +3,9 @@
 All primary output is a single JSON document on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 2 parse/usage error or an exact result too
 long to print (LimitExceeded), 3 geometric precondition failure, 4 no
-feasible search start, 5 verification violation.
+feasible search start, 5 verification violation.  A `--decimal` digit
+count outside 0..4300, the interpreter's int-to-string limit, is a usage
+error.
 Output is byte-identical across runs for identical inputs and seeds.
 """
 
@@ -72,7 +74,8 @@ def main():
 
 @main.command()
 @click.argument("body_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--decimal", type=int, default=None, help="add k-digit decimal renderings")
+@click.option("--decimal", type=click.IntRange(0, 4300), default=None,
+              help="add k-digit decimal renderings, 0 <= k <= 4300")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def analyze(body_file, decimal, output):
     """Certified minima and the full report card for one body."""
@@ -143,7 +146,7 @@ def family(name, s_, t_, t1, t2, dim, output):
 @click.option("--seeds", type=int, default=32, show_default=True)
 @click.option("--iters", type=int, default=200, show_default=True)
 @click.option("--trace/--no-trace", default=True, show_default=True)
-@click.option("--decimal", type=int, default=None)
+@click.option("--decimal", type=click.IntRange(0, 4300), default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def search(t_, seeds, iters, trace, decimal, output):
     """Minimize volume over A(t) from random feasible starts."""

@@ -66,6 +66,22 @@ def _pair_params(spec: FamilySpec):
     return t, t1, t2
 
 
+def _st_params(spec: FamilySpec):
+    """(s, t) of T_st, with t >= s > 0."""
+    s, t = spec.param("s"), spec.param("t")
+    if not (t >= s > 0):
+        raise BadParams("T_st needs t >= s > 0")
+    return s, t
+
+
+def _of_s_param(spec: FamilySpec):
+    """s of T_of_s, with s >= 1."""
+    s = spec.param("s")
+    if s < 1:
+        raise BadParams("T_of_s needs s >= 1")
+    return s
+
+
 def _check_dim(spec: FamilySpec, minimum: int = 2):
     if spec.dim < minimum:
         raise BadParams(f"family {spec.name} needs dimension >= {minimum}")
@@ -78,9 +94,7 @@ def make(spec: FamilySpec) -> Body:
     if name == "T_st":
         if n != 2:
             raise BadParams("T_st is planar")
-        s, t = spec.param("s"), spec.param("t")
-        if not (t >= s > 0):
-            raise BadParams("T_st needs t >= s > 0")
+        s, t = _st_params(spec)
         poly = convex_hull([vec(-s, t - s), vec(s, t), vec(0, -t)])
         return Body(poly=poly, family=("T_st", {"s": s, "t": t}))
 
@@ -113,9 +127,7 @@ def make(spec: FamilySpec) -> Body:
     if name in ("T_n", "T_of_s"):
         _check_dim(spec)
         if name == "T_of_s":
-            s = spec.param("s")
-            if s < 1:
-                raise BadParams("T_of_s needs s >= 1")
+            s = _of_s_param(spec)
             lower = 2 * s
             fam = ("T_of_s", {"s": s})
         else:
@@ -149,9 +161,7 @@ def closed_form_volume(spec: FamilySpec) -> Fraction:
     """Stated exact volume; for planar instances it equals area(make(spec))."""
     name, n = spec.name, spec.dim
     if name == "T_st":
-        s, t = spec.param("s"), spec.param("t")
-        if not (t >= s > 0):
-            raise BadParams("T_st needs t >= s > 0")
+        s, t = _st_params(spec)
         return 2 * t * s - s * s / 2
     if name == "cube":
         _check_dim(spec)
@@ -167,10 +177,7 @@ def closed_form_volume(spec: FamilySpec) -> Fraction:
         return Fraction((n + 1) ** n, math.factorial(n))
     if name == "T_of_s":
         _check_dim(spec)
-        s = spec.param("s")
-        if s < 1:
-            raise BadParams("T_of_s needs s >= 1")
-        return (n + 2 * s) ** n / Fraction(math.factorial(n))
+        return (n + 2 * _of_s_param(spec)) ** n / Fraction(math.factorial(n))
     if name == "Q_quad":
         t, _, _ = _pair_params(spec)
         return 4 / t - 2 / t**2
@@ -185,17 +192,11 @@ def closed_form_minima(spec: FamilySpec) -> tuple:
     refer to); raises NoClosedForm where none is stated."""
     name, n = spec.name, spec.dim
     if name == "T_st":
-        s, t = spec.param("s"), spec.param("t")
-        if not (t >= s > 0):
-            raise BadParams("T_st needs t >= s > 0")
-        return (s, t)
-    if name in ("cube", "cross", "T_n"):
+        return _st_params(spec)
+    if name in ("cube", "cross", "T_n", "T_of_s"):
         _check_dim(spec)
-        return (Fraction(1),) * n
-    if name == "T_of_s":
-        _check_dim(spec)
-        if spec.param("s") < 1:
-            raise BadParams("T_of_s needs s >= 1")
+        if name == "T_of_s":
+            _of_s_param(spec)
         return (Fraction(1),) * n
     if name in ("Q_quad", "Tri_case2"):
         t, _, _ = _pair_params(spec)

@@ -19,10 +19,12 @@ re-certified from scratch afterwards:
     which single-edge moves are fixed points; the move jumps to the family's
     volume minimum (the balanced split t1 = t2 = 1/t) and re-verifies.
 
-All comparisons are exact.  The solves and the contact map read the
-supports of a lattice vector z = (m, n) off one pass of the integers
-X_k m + Y_k n over the polygon's integer form (vertices (X_k, Y_k)/L).  The
-1e-6 figure appears only in human-readable gap summaries.
+All comparisons are exact.  Push and rotate share one stop solver: the
+moving vertex slides along an integer direction over the polygon's integer
+form (vertices (X_k, Y_k)/L), and each lattice constraint z = (m, n) stops
+it at a closed-form point read off one pass of the integers X_k m + Y_k n,
+the pass the contact map reads its supports from.  The 1e-6 figure appears
+only in human-readable gap summaries.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 
 from .body import Body, as_body, apply_transform, centered, \
     central_symmetral, gauge, polar, Transform2
-from .core import E1, E2, integer_form, rat, vec
+from .core import E1, E2, _over_lcm, integer_form, rat, vec
 from .errors import BadParams, DegenerateInput, GeometryError, \
     InternalInvariantViolation, NoFeasibleStart, NoSlackEdge, NotRotatable
 from .minima import MinimaCert, contact_set, normalize_to_At, \
@@ -112,11 +114,13 @@ def make_candidate(K, t) -> Candidate:
 # ---------------------------------------------------------------------------
 # constraint machinery
 #
-# For a vertex move f -> f(tau) the support of any lattice point z is
-# h(tau) = max(M_z, a_z + tau * b_z) with M_z the max over the fixed
-# vertices, so each symmetral constraint (h(z) + h(-z))/2 >= bound is a
-# convex piecewise-linear function of tau with at most two kinks.  The solves
-# work on L a_z, L M_z and L M_{-z}, integers over the integer form.
+# A move slides vertex i from (X_i, Y_i)/L to (X_i + sigma d)/L along an
+# integer direction d.  For z = (m, n) the vertex's value is a + sigma b,
+# a = X_i m + Y_i n and b = d.z, and twice the symmetral gauge of z, scaled
+# by L, is max(hi, a + sigma b) - min(lo, a + sigma b) with hi and lo the
+# max and min over the other vertices: flat while the value stays in
+# [lo, hi], growing by |b| per unit of sigma outside.  So each constraint's
+# stop has a closed form in integers, a Fraction only where it divides.
 
 
 def _constraint_reps(cand: Candidate):
@@ -128,49 +132,40 @@ def _constraint_reps(cand: Candidate):
     return [(m, n) for n in range(1, m2 + 1) for m in range(-m1, m1 + 1)]
 
 
-def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
-    """Largest tau >= 0 keeping the pair constraint satisfied, or None when
-    it holds for every tau >= 0.
+def _limit(a, b, hi, lo, B, equality):
+    """Least sigma >= 0 at which max(hi, s) - min(lo, s), s = a + sigma b,
+    stops being >= B (for an equality: stops being flat), or None when that
+    never happens.  A stop is a Fraction, never a float.
 
-    g(tau) = (max(M, a + tau b) + max(M2, a2 + tau b2))/2 is linear between
-    its kinks and on the unbounded piece after the last one; the value and
-    the right-hand slope at a piece's start describe the whole piece.  For
-    ">=" constraints the limit is the first downward crossing of the bound;
-    for equality constraints it is the end of the initial flat stretch."""
-    parts = ((a, b, M), (a2, b2, M2))
-    kinks = sorted(k for k in {(mm - aa) / bb for aa, bb, mm in parts if bb != 0}
-                   if k > 0)
-    for lo, hi in zip([Fraction(0)] + kinks, kinks + [None]):
-        v = s = Fraction(0)  # 2 g(lo) and the slope of 2 g on the piece
-        for aa, bb, mm in parts:
-            moving = aa + lo * bb
-            if moving > mm or (moving == mm and bb > 0):
-                v += moving
-                s += bb
-            else:
-                v += mm
-        if equality:
-            if s != 0:
-                return lo
-        elif s < 0:
-            cross_at = lo + (v - 2 * bound) / -s
-            if hi is None or cross_at < hi:
-                return max(cross_at, lo)
-    return None
+    Assumes the constraint holds at sigma = 0.  Every A(t) candidate meets
+    this: the witnesses are equalities there, and the representatives have
+    n >= 1, so none is a multiple of e1 and each has gauge >= lambda_2 = 1."""
+    if b == 0:
+        return None
+    if equality:
+        return Fraction((hi if b > 0 else lo) - a, b) if lo <= a <= hi else Fraction(0)
+    if hi - lo >= B:
+        return None
+    e = hi - B if b > 0 else lo + B
+    return Fraction(e - a, b) if (e - a) * b >= 0 else None
 
 
-def _scans(cand: Candidate, i):
-    """(z, L bound, equality, a, hi, lo) per lattice constraint: the two
-    witness equalities, then gauge >= 1 at every representative but e2 (all
-    have n >= 1, so e1 is never one); a is vertex i's X_i m + Y_i n, hi and
-    lo the max and min of it over the other vertices."""
+def _stops(cand: Candidate, i, d):
+    """(sigma, reason) per lattice constraint that stops vertex i on its
+    slide (X_i, Y_i) + sigma d, in constraint order: the witness equalities
+    at e1 (B = 2L/t) and e2, then gauge >= 1 (B = 2L) at every
+    representative but e2."""
     pts, L = integer_form(cand.body.polygon)
     (x, y), rest = pts[i], pts[:i] + pts[i + 1:]
-    constraints = [((1, 0), L / cand.t, True), ((0, 1), Fraction(L), True)] + \
-        [(z, Fraction(L), False) for z in _constraint_reps(cand) if z != (0, 1)]
-    for (m, n), bound, eq in constraints:
+    dx, dy = d
+    constraints = [((1, 0), 2 * L / cand.t, True), ((0, 1), 2 * L, True)] + \
+        [(z, 2 * L, False) for z in _constraint_reps(cand) if z != (0, 1)]
+    for (m, n), B, eq in constraints:
         values = [xk * m + yk * n for xk, yk in rest]
-        yield (m, n), bound, eq, x * m + y * n, max(values), min(values)
+        sigma = _limit(x * m + y * n, dx * m + dy * n, max(values), min(values), B, eq)
+        if sigma is not None:
+            yield sigma, (("witness-e1" if m else "witness-e2") if eq
+                          else f"lattice-gauge({m},{n})")
 
 
 def _rebuild(cand: Candidate, vertices) -> Candidate:
@@ -192,39 +187,13 @@ def edge_push(cand: Candidate) -> Candidate:
     if not slack:
         raise NoSlackEdge("every dual edge carries a contact point")
     i = slack[0]
-    f = vs[i]
-    others = [v for k, v in enumerate(vs) if k != i]
-
-    mu = Fraction(0)
-    for _z, bound, _eq, a, hi, lo in _scans(cand, i):
-        # only the side z or -z where the vertex is positive can bind: a and
-        # the rest's max M there, M_op the rest's max on the other side
-        a, M, M_op = (a, hi, -lo) if a > 0 else (-a, -lo, hi)
-        p, q = bound.numerator, bound.denominator
-        if a and (max(M, 0) + M_op) * q < 2 * p:
-            mu = max(mu, Fraction(2 * p - M_op * q, a * q))
-    nxt = _rebuild(cand, others + ([f * mu] if mu > 0 else [vec(0, 0)]))
+    x, y = integer_form(cand.body.polygon)[0][i]
+    # the vertex moves to (1 - sigma) v_i; at sigma = 1 it reaches the origin
+    sigma = min([1] + [stop for stop, _ in _stops(cand, i, (-x, -y))])
+    nxt = _rebuild(cand, [v for k, v in enumerate(vs) if k != i] + [vs[i] * (1 - sigma)])
     if not nxt.feasible:
         raise InternalInvariantViolation("push left A(t)")
     return nxt
-
-
-def _combinatorial_taus(vs, i, w):
-    """Positive tau values at which the moving vertex becomes collinear with
-    a neighboring edge or with the chord of its neighbors."""
-    n = len(vs)
-    f = vs[i]
-    prev, nxt = vs[(i - 1) % n], vs[(i + 1) % n]
-    pprev, nnxt = vs[(i - 2) % n], vs[(i + 2) % n]
-    out = []
-    for p, q in {(prev, nxt), (pprev, prev), (nxt, nnxt)}:
-        d = q - p
-        denom = d.cross(w)
-        if denom != 0:
-            tau = -d.cross(f - p) / denom
-            if tau > 0:
-                out.append(tau)
-    return out
 
 
 def rotatable_contact(cand: Candidate, edge_index: int):
@@ -255,38 +224,33 @@ def edge_rotate(cand: Candidate, edge_index: int, direction: int,
         raise NotRotatable(
             "dual edge must contain exactly one contact point in its relative interior")
     w = direction * u.perp()
-    n = len(vs)
+    # the slide v_i + tau w is (X_i, Y_i) + sigma d with d = M w integral
+    # and tau = sigma M / L
+    (dx, dy), M = _over_lcm([w.x, w.y])
+    pts, L = integer_form(cand.body.polygon)
+    n = len(pts)
     i = edge_index
-    f = vs[i]
-    if w.cross(vs[(i + 1) % n] - vs[(i - 1) % n]) > 0:
+    (px, py), (qx, qy) = pts[i - 1], pts[(i + 1) % n]
+    if dx * (qy - py) - dy * (qx - px) > 0:
         raise NotRotatable("requested direction increases the volume")
-    others = [v for k, v in enumerate(vs) if k != i]
-
-    # every input of _tau_limit is scaled by L, which leaves tau unchanged;
-    # b L stays a Fraction, so its kinks are exact
-    L = integer_form(cand.body.polygon)[1]
-    wx, wy = w.x * L, w.y * L
-    stops = []
-    for (p, q), bound, eq, a, hi, lo in _scans(cand, i):
-        # each max is at least its fixed part, so g(tau) >= (M_z + M_{-z})/2
-        # = (hi - lo)/(2 L) >= 1 for every tau and _tau_limit returns None
-        if not eq and hi - lo >= 2 * L:
-            continue
-        b = wx * p + wy * q
-        limit = _tau_limit(a, b, hi, -a, -b, -lo, bound, eq)
-        if limit is not None:
-            if eq:
-                stops.append((limit, "witness-e1" if (p, q) == (1, 0) else "witness-e2"))
-            else:
-                stops.append((limit, f"lattice-gauge({p},{q})"))
-    stops += [(comb, "vertex-collision") for comb in _combinatorial_taus(vs, i, w)]
+    stops = list(_stops(cand, i, (dx, dy)))
+    # collinear with the chord of its neighbors or with a neighboring edge
+    x, y = pts[i]
+    for j, k in ((i - 1, i + 1), (i - 2, i - 1), (i + 1, i + 2)):
+        (px, py), (qx, qy) = pts[j % n], pts[k % n]
+        denom = (qx - px) * dy - (qy - py) * dx
+        if denom:
+            sigma = Fraction((qy - py) * (x - px) - (qx - px) * (y - py), denom)
+            if sigma > 0:
+                stops.append((sigma, "vertex-collision"))
     if not stops:
         raise InternalInvariantViolation("rotation found no stopping constraint")
-    tau, reason = min(stops, key=lambda stop: stop[0])
-    if tau == 0:
+    sigma, reason = min(stops, key=lambda stop: stop[0])
+    if sigma == 0:
         return (cand, reason) if explain else cand
+    others = [v for k, v in enumerate(vs) if k != i]
     try:
-        nxt = _rebuild(cand, others + [f + tau * w])
+        nxt = _rebuild(cand, others + [vs[i] + (sigma * M / L) * w])
     except DegenerateInput:
         raise InternalInvariantViolation("rotation collapsed the polygon")
     if not nxt.feasible:

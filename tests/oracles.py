@@ -5,17 +5,15 @@ edge-normal gauge, brute-force enumeration for the minima) so they do not
 share code paths with the library they check.  The vertex-list checks, the
 angle merge of the central symmetral, the gauge rows and the vertex-set
 symmetry test keep the Fraction loops that the library ran before it moved
-them onto the integer form.  The one exception is the
-piecewise-linear limit `search._tau_limit`, which `rotate_stop` calls with
-Fraction supports: it has tests of its own, and the oracle pins the inputs
-the integer rotate solve hands it.
+them onto the integer form.  `_tau_limit` is the piecewise-linear kink
+walk over Fraction supports that the search moves ran before their stops
+took a closed form over integers.
 """
 
 import math
 from fractions import Fraction
 
 from polarmin.errors import DegenerateInput, Empty, Unbounded
-from polarmin.search import _tau_limit
 
 
 def shoelace(points) -> Fraction:
@@ -368,14 +366,44 @@ def push_points(vertices, i, constraints):
     return [v for k, v in enumerate(vertices) if k != i] + [(x * mu, y * mu)]
 
 
+def _tau_limit(a, b, M, a2, b2, M2, bound, equality):
+    """Largest tau >= 0 keeping the pair constraint satisfied, or None when
+    it holds for every tau >= 0.
+
+    g(tau) = (max(M, a + tau b) + max(M2, a2 + tau b2))/2 is linear between
+    its kinks and on the unbounded piece after the last one; the value and
+    the right-hand slope at a piece's start describe the whole piece.  For
+    ">=" constraints the limit is the first downward crossing of the bound;
+    for equality constraints it is the end of the initial flat stretch."""
+    parts = ((a, b, M), (a2, b2, M2))
+    kinks = sorted(k for k in {(mm - aa) / bb for aa, bb, mm in parts if bb != 0}
+                   if k > 0)
+    for lo, hi in zip([Fraction(0)] + kinks, kinks + [None]):
+        v = s = Fraction(0)  # 2 g(lo) and the slope of 2 g on the piece
+        for aa, bb, mm in parts:
+            moving = aa + lo * bb
+            if moving > mm or (moving == mm and bb > 0):
+                v += moving
+                s += bb
+            else:
+                v += mm
+        if equality:
+            if s != 0:
+                return lo
+        elif s < 0:
+            cross_at = lo + (v - 2 * bound) / -s
+            if hi is None or cross_at < hi:
+                return max(cross_at, lo)
+    return None
+
+
 def rotate_stop(vertices, i, w, constraints):
     """(tau, reason) of the least stop of the slide v_i + tau w: each
     constraint's limit from the Fraction supports of z and -z, in
     constraint order, then every positive tau at which v_i becomes
     collinear with the chord of its neighbors or with a neighboring edge;
-    the first least tau wins.  The limit of one constraint is the library's
-    `_tau_limit`, pinned on its own by the move-solve tests; this oracle
-    fixes the Fraction inputs it is given."""
+    the first least tau wins.  The limit of one constraint is `_tau_limit`,
+    pinned on its own by the move-solve tests."""
     n = len(vertices)
     stops = []
     for z, bound, eq in constraints:

@@ -176,6 +176,36 @@ class TestAnalyzeCommand:
         rep = [r for r in out["reports"] if r["check"] == "eq_1_1_lower"][0]
         assert rep["rhs"] == "9/8" and rep["rhs_dec"] == "1.1250"
 
+    def test_decimal_out_of_range_exit_2(self, tmp_path):
+        # 4300 digits is the interpreter's int-to-string limit
+        body = write_body(tmp_path, T23_DOC)
+        for k in ("-1", "4301"):
+            for args in (("analyze", body), ("search", "--t", "2", "--seeds", "1")):
+                res = run(*args, "--decimal", k)
+                assert res.exit_code == 2, (args, k)
+                assert "--decimal" in res.output and "{" not in res.output  # no document
+
+    def test_decimal_at_the_cap_renders_every_rational(self, tmp_path):
+        doc = {"type": "vpoly", "vertices": [["-1", "0"], ["1", "1"], ["0", "-1/3"]]}
+        outputs = [run("analyze", write_body(tmp_path, doc), "--decimal", "4300").output,
+                   run("search", "--t", "3/2", "--seeds", "1", "--decimal", "4300").output]
+
+        def rationals(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    if isinstance(v, str) and "/" in v and not v.startswith("("):
+                        yield node, k
+                    yield from rationals(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from rationals(v)
+
+        for out in outputs:
+            found = list(rationals(json.loads(out)))
+            assert found
+            for node, k in found:
+                assert len(node[k + "_dec"].split(".")[1]) == 4300, k
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.json"
         res = run("analyze", write_body(tmp_path, T23_DOC), "--output", str(target))

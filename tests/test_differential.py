@@ -39,9 +39,9 @@ import polarmin as pm
 from polarmin import Body, HPolytope, vec
 from polarmin.core import _over_lcm
 from polarmin.minima import witness_key
-from polarmin.search import _tau_limit, sample_feasible
+from polarmin.search import _limit, sample_feasible
 
-from oracles import _hull, area_centroid, clip_hull, contact_points, edge_gauge, \
+from oracles import _hull, _tau_limit, area_centroid, clip_hull, contact_points, edge_gauge, \
     fraction_gauge_rows, halfplane_vertices, merge_symmetral, move_constraints, \
     orient_contains, pairwise_symmetral, polar_directions, push_points, rotate_stop, \
     shoelace, short_vectors, signed_area, validated_ccw, vertex_set_symmetric
@@ -531,9 +531,44 @@ rationals = st.fractions(-50, 50, max_denominator=12)
 # a falling piece that meets the bound exactly where it turns flat
 @example(F(3), F(-1), F(0), F(1), F(0))
 def test_tau_limit_is_none_when_the_fixed_parts_meet_the_bound(a, b, lo, bound, gap):
-    # the edge_rotate pre-test skips ">=" constraints with hi - lo >= 2 bound
+    # the move stops skip ">=" constraints with hi - lo >= 2 bound
     hi = lo + 2 * bound + gap
     assert _tau_limit(a, b, hi, -a, -b, -lo, bound, False) is None
+    assert _limit(a, b, hi, lo, 2 * bound, False) is None
+
+
+@st.composite
+def pair_limits(draw):
+    """(a, b, hi, lo, B, equality) of a pair constraint that holds at
+    sigma = 0: integer supports at scale 1 or 10^300, the moving value a
+    often on hi or lo or outside [lo, hi] and hi often equal to lo, b often 0, and B the
+    current width max(hi, a) - min(lo, a) for an equality and often for
+    ">=", else a rational fraction of it."""
+    scale = draw(st.sampled_from([1, 10**300]))
+    lo = draw(st.integers(-20, 20)) * scale
+    hi = lo + draw(st.sampled_from([0, draw(st.integers(0, 40))])) * scale
+    off = draw(st.integers(1, 30)) * scale
+    a = draw(st.sampled_from([lo, hi, lo - off, hi + off, draw(st.integers(-30, 30)) * scale]))
+    b = draw(st.sampled_from([0, draw(st.integers(-9, 9)) * draw(st.sampled_from([1, scale]))]))
+    equality = draw(st.booleans())
+    width = max(hi, a) - min(lo, a)
+    B = F(width) if equality else width * draw(
+        st.sampled_from([F(1), draw(st.fractions(0, 1, max_denominator=12))]))
+    assume(B > 0)
+    return a, b, hi, lo, B, equality
+
+
+@settings(max_examples=400)
+@given(pair_limits())
+# a stop beyond 10^9: the value falls by 1 per unit from 4 10^10 to lo + B
+@example((4 * 10**10, -1, 0, 0, F(2), False))
+# tight at sigma = 0 and falling at once: the stop is 0
+@example((0, 1, 4, 2, F(4), False))
+def test_closed_form_limit_matches_kink_walk(args):
+    a, b, hi, lo, B, equality = args
+    got = _limit(*args)
+    assert got is None or type(got) is F
+    assert got == _tau_limit(F(a), F(b), F(hi), F(-a), F(-b), F(-lo), B / 2, equality)
 
 
 @st.composite

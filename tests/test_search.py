@@ -9,6 +9,8 @@ from polarmin import Body, FamilySpec, InternalInvariantViolation, NoFeasibleSta
     NoSlackEdge, NotRotatable, search, vec
 from polarmin.search import sample_feasible
 
+from oracles import _tau_limit
+
 T11 = pm.make(FamilySpec("T_st", {"s": 1, "t": 1}))
 SQUARE = pm.make(FamilySpec("cube"))
 
@@ -293,12 +295,12 @@ class TestMoveFuzz:
 class TestMoveSolve:
     def test_tau_limit_has_no_ceiling(self):
         # (max(0, 4 - tau/10^10) + 0)/2 falls to 1 at tau = 2 * 10^10
-        assert search._tau_limit(4, F(-1, 10**10), 0, 0, 0, 0, 1, False) == 2 * 10**10
+        assert _tau_limit(4, F(-1, 10**10), 0, 0, 0, 0, 1, False) == 2 * 10**10
 
     def test_constraint_that_never_binds_has_no_limit(self):
         # (max(0, 4 + tau) + 0)/2 only grows, and (max(1, -tau) + 1)/2 stays flat
-        assert search._tau_limit(4, 1, 0, 0, 0, 0, 1, False) is None
-        assert search._tau_limit(0, -1, 1, 1, 0, 0, 1, True) is None
+        assert _tau_limit(4, 1, 0, 0, 0, 0, 1, False) is None
+        assert _tau_limit(0, -1, 1, 1, 0, 0, 1, True) is None
 
     def test_rebuild_outside_At_raises(self, monkeypatch):
         # each move solves once and re-certifies; a rebuilt candidate
