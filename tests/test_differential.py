@@ -19,12 +19,14 @@ checked against a monotone chain over Fraction tuples, on point sets with
 duplicates, collinear runs, mixed denominators and coordinates near 10^6;
 the integer vertex-list checks and symmetral merge against their Fraction
 loops; every integer form that a hull, symmetral, translate or validated
-polygon is born with against a fresh one; and the `edge_rotate` pre-test
-against `_tau_limit`.  The polar's integer form that `gauge_rows` builds
-from the body's integer edges is checked against a fresh form and against
-the retired Fraction rows; the minima box extents, and the reduced box's
-on shears that take the Gauss-reduced path, against Fraction maxima over
-the vertices; `is_symmetric` against the vertex set; and each Grünbaum cut
+polygon is born with against a fresh one; and the closed-form pair limit
+`search._limit` of the move stops, with its early exit, against the kink
+walk `_tau_limit`, on feasible integer inputs up to 10^300.  The polar's
+integer form that `gauge_rows` builds from the body's integer edges is
+checked against a fresh form and against the retired Fraction rows; the
+minima box extents, and the reduced box's on shears that take the
+Gauss-reduced path, against Fraction maxima over the vertices;
+`is_symmetric` against the vertex set; and each Grünbaum cut
 against the shoelace of the clip hull.
 """
 
