@@ -7,7 +7,8 @@ linear-time, hull-free code path and is computed at most once per body:
   * the polar's vertices are read off the integer edges of K (the edge
     <n, x> = c dualizes to the vertex w = n/c), and its polar is a body on
     K's polygon; `gauge_rows` is the polar's integer form, rows (a, b) = D * w
-    over their common denominator D, so gauges and the minima are integer work;
+    over their common denominator D, built on first use, so gauges and the
+    minima are integer work;
   * the area, which the checks ask of the same body several times;
   * whether the origin is interior, which the polar, the search and the
     checks all ask;
@@ -17,8 +18,9 @@ linear-time, hull-free code path and is computed at most once per body:
   * the centroid translate is built once, on the integer form, and shares
     the body's symmetral, since cs(K + v) = cs(K).
 
-The memos live in the body's slots and are freed with it.  An affine image
-is the mapped vertex list, with no hull.
+The memos live in the body's slots and are freed with it.  A translate, a
+scale and an affine image are one integer map of K's integer form,
+`core.affine_poly`, with no hull, and are born with their integer form.
 """
 
 from __future__ import annotations
@@ -147,17 +149,8 @@ def _dual_edges(K: Body) -> list:
 
 def gauge_rows(K) -> tuple:
     """(rows, D): polar(K)'s integer form, its vertices w_i as rows (a_i, b_i)
-    = D * w_i over their lcm D, in CCW order, built on first use from
-    `_dual_edges`; the lcm of w_i's coordinate denominators is C_i/gcd(u_i, v_i, C_i)."""
-    K = as_body(K)
-    dual = polar(K).polygon
-    if dual._integer is None:
-        duals = _dual_edges(K)
-        D = math.lcm(*(c // math.gcd(u, v, c) for u, v, c in duals))
-        rows = [(u * D // c, v * D // c) for u, v, c in duals]
-        k = min(range(len(rows)), key=rows.__getitem__)  # D > 0 keeps the order
-        dual._integer = (tuple(rows[k:] + rows[:k]), D)
-    return dual._integer
+    = D * w_i over their lcm D, in CCW order, built on first use."""
+    return core.integer_form(polar(as_body(K)).polygon)
 
 
 _ZERO = Fraction(0)
@@ -215,23 +208,16 @@ def central_symmetral(K) -> Body:
         pts, L = core.integer_form(K.polygon)
         n = len(pts)
         edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
-        halves = [(y, x) <= (0, 0) for x, y in edges]  # core.angle_half
+        back = [(-x, -y) for x, y in edges]
         # -K starts at the reflection of K's highest-then-rightmost vertex;
-        # its edge after -P_j is -e_j, which lies in the other half.
+        # its edge after -P_j is -e_j.
         i = min(range(n), key=lambda k: (pts[k][1], pts[k][0]))
         j = max(range(n), key=lambda k: (pts[k][1], pts[k][0]))
         out = []
         left_i = left_j = n
         while left_i or left_j:
-            if not left_j:
-                order = -1
-            elif not left_i:
-                order = 1
-            elif halves[i] == halves[j]:  # e_i and -e_j in different halves
-                order = -1 if halves[i] == 0 else 1
-            else:
-                c = core._turn((0, 0), edges[j], edges[i])  # cross(e_i, -e_j)
-                order = (c < 0) - (c > 0)
+            # a finished sequence gives way to the other
+            order = core._angle_cmp(edges[i], back[j]) if left_i and left_j else left_j - left_i
             if order <= 0:
                 i = (i + 1) % n
                 left_i -= 1
@@ -250,7 +236,7 @@ def is_symmetric(K) -> bool:
 
 
 def translate(K, v: Vec2) -> Body:
-    return Body(poly=core.translate_poly(as_body(K).polygon, v))
+    return Body(poly=core.affine_poly(as_body(K).polygon, ((1, 0), (0, 1)), v))
 
 
 def centered(K) -> Body:
@@ -271,7 +257,10 @@ def centered(K) -> Body:
 
 
 def scale(K, r) -> Body:
-    return Body(poly=core.scale_poly(as_body(K).polygon, r))
+    r = rat(r)
+    if r <= 0:
+        raise ValueError("scale factor must be positive")
+    return Body(poly=core.affine_poly(as_body(K).polygon, ((r, 0), (0, r)), core.ORIGIN))
 
 
 @dataclass(frozen=True)
@@ -314,12 +303,11 @@ class Transform2:
 
 
 def apply_transform(T: Transform2, K) -> Body:
-    """Image T(K), the mapped vertex list with no hull, reversed when
-    det T < 0 to stay counterclockwise; the area scales by |det T|."""
+    """Image T(K), `core.affine_poly` of K's polygon with no hull; the area
+    scales by |det T|."""
     if T.det == 0:
         raise SingularTransform("determinant is zero")
-    vs = [T.apply_vec(v) for v in as_body(K).polygon.vertices]
-    return Body(poly=VPolygon(vs if T.det > 0 else vs[::-1], _trusted=True))
+    return Body(poly=core.affine_poly(as_body(K).polygon, T.m, T.translation))
 
 
 def gauge_cs_identity(K, x: Vec2):

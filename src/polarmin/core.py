@@ -7,11 +7,11 @@ strictly convex counterclockwise vertex lists.
 
 Each polygon also has one integer form, kept in its slot: the vertices as
 integers (X_i, Y_i) over the lcm L of every coordinate denominator, handed
-on at birth by the hull, the translate and the validated constructor, else
-built on first use.  Area and centroid are shoelace sums over its cross
-terms, membership is one integer sign per edge, and a clip and a cut area
-are one integer scan for the kept vertices and edge crossings, so each builds
-one Fraction per coordinate of its result, or none, instead of one per step.
+on at birth by every constructor but the polar, which builds it on first
+use.  Area and centroid are shoelace sums over its cross terms, membership
+is one integer sign per edge, and a clip and a cut area are one integer scan
+for the kept vertices and edge crossings, so each builds one Fraction per
+coordinate of its result, or none, instead of one per step.
 """
 
 from __future__ import annotations
@@ -167,6 +167,12 @@ def _from_integer(pts: Sequence, L: int) -> VPolygon:
     return poly
 
 
+def _from_rational(out: Sequence, L: int = 1) -> VPolygon:
+    """The strictly convex CCW polygon of the points (x, y)/(w L), w != 0."""
+    W = math.lcm(*(w for _, _, w in out))
+    return _from_integer([(x * (W // w), y * (W // w)) for x, y, w in out], W * L)
+
+
 def _turn(o: tuple, a: tuple, b: tuple) -> int:
     """Twice the signed area of the triangle (o, a, b) of integer pairs:
     > 0 iff (o, a, b) turns left."""
@@ -187,17 +193,26 @@ def _validated_ccw(vs: tuple) -> tuple:
     # Local convexity admits multiply-wound lists.  With every turn strictly
     # left and below pi, the edge angle passes 0 once per winding, which is
     # exactly where an edge in the upper half [pi, 2 pi) is followed by one
-    # in the lower half [0, pi); the list is the hull order iff that happens
-    # once.  An edge (x, y) is in the upper half iff (y, x) <= (0, 0).
-    halves = [(y1 - y0, x1 - x0) <= (0, 0) for (x0, y0), (x1, y1) in zip(pts, nxt)]
+    # in the lower half [0, pi); the list is the hull order iff that happens once.
+    halves = [_half((x1 - x0, y1 - y0)) for (x0, y0), (x1, y1) in zip(pts, nxt)]
     if sum(h > g for h, g in zip(halves, halves[1:] + halves[:1])) != 1:
         raise DegenerateInput("vertex list is not a convex hull ordering")
     return pts, L
 
 
-def angle_half(d: Vec2) -> int:
-    """0 for directions with angle in [0, pi), 1 for [pi, 2 pi)."""
-    return 0 if d.y > 0 or (d.y == 0 and d.x > 0) else 1
+def _half(u: Sequence) -> bool:
+    """Whether the nonzero integer direction u has its angle in [pi, 2 pi)."""
+    return (u[1], u[0]) <= (0, 0)
+
+
+def _angle_cmp(u: Sequence, v: Sequence) -> int:
+    """Exact comparison of the angles in [0, 2 pi) of two nonzero integer
+    directions: the half first, then the sign of the cross product."""
+    h = _half(u) - _half(v)
+    if h:
+        return h
+    c = _turn((0, 0), u, v)
+    return (c < 0) - (c > 0)
 
 
 def convex_hull(points: Iterable[Vec2]) -> VPolygon:
@@ -295,18 +310,15 @@ def edge_halfplanes(p: VPolygon) -> list:
     return rows
 
 
-def translate_poly(p: VPolygon, v: Vec2) -> VPolygon:
-    """p + v over N, the lcm of L and v's denominators: v = (P, Q)/N, a = N/L."""
+def affine_poly(p: VPolygon, m: Sequence, v: Vec2) -> VPolygon:
+    """The image m p + v, m = ((a, b), (c, d)) invertible: with m = m'/N and
+    v = (P, Q)/N over their lcm N, X/L maps to (m'X + (P, Q) L)/(N L),
+    reversed when det m < 0 to stay counterclockwise."""
     pts, L = integer_form(p)
-    (P, Q, a), N = _over_lcm((v.x, v.y, Fraction(1, L)))
-    return _from_integer([(x * a + P, y * a + Q) for x, y in pts], N)
-
-
-def scale_poly(p: VPolygon, r) -> VPolygon:
-    r = rat(r)
-    if r <= 0:
-        raise ValueError("scale factor must be positive")
-    return VPolygon(tuple(u * r for u in p.vertices), _trusted=True)
+    (a, b, c, d, P, Q), N = _over_lcm((*m[0], *m[1], v.x, v.y))
+    P, Q = P * L, Q * L
+    out = [(a * x + b * y + P, c * x + d * y + Q) for x, y in pts]
+    return _from_integer(out if a * d > b * c else out[::-1], N * L)
 
 
 @dataclass(frozen=True)
@@ -333,30 +345,29 @@ class HPolytope:
         return [(Vec2(rat(n[0]), rat(n[1])), rat(c)) for n, c in self.rows]
 
 
-def _line_intersection(n1: Vec2, c1, n2: Vec2, c2) -> Vec2:
-    """The crossing of <n1, x> = c1 and <n2, x> = c2; the normals must not
-    be parallel."""
-    det = n1.cross(n2)
-    x = (c1 * n2.y - c2 * n1.y) / det
-    y = (n1.x * c2 - n2.x * c1) / det
-    return Vec2(x, y)
+def _line_intersection(r: Sequence, s: Sequence) -> tuple:
+    """The crossing (X, Y)/W, as a lowest-terms triple (X, Y, W) with W > 0,
+    of the lines A x + B y = C of the integer rows r and s; their normals
+    must not be parallel."""
+    (A1, B1, C1), (A2, B2, C2) = r, s
+    W = A1 * B2 - B1 * A2
+    X, Y = C1 * B2 - C2 * B1, A1 * C2 - A2 * C1
+    g = math.gcd(X, Y, W) if W > 0 else -math.gcd(X, Y, W)
+    return X // g, Y // g, W // g
 
 
-def _angle_cmp(a: Vec2, b: Vec2) -> int:
-    """Exact comparison of the polar angles of two nonzero vectors in
-    [0, 2 pi): the half first, then the turn from one to the other."""
-    h = angle_half(a) - angle_half(b)
-    if h:
-        return h
-    c = a.cross(b)
-    return (c < 0) - (c > 0)
+def _fails(r: Sequence, q: tuple) -> bool:
+    """Whether the corner q = (X, Y, W) is not strictly inside row r."""
+    return r[0] * q[0] + r[1] * q[1] >= r[2] * q[2]
 
 
 def halfplane_intersect(h: HPolytope) -> VPolygon:
     """Vertex form of a bounded, full-dimensional planar halfplane intersection.
 
     Sort and sweep (de Berg et al., Computational Geometry, 3rd ed.,
-    sections 4.2 and 8.2), O(m log m) for m rows, every predicate exact:
+    sections 4.2 and 8.2), O(m log m) for m rows, on integers: each row is
+    scaled by the lcm of its denominators to A x + B y <= C, and each corner
+    is a lowest-terms triple (X, Y, W), W > 0.
 
       * a zero row with a negative offset raises Empty, and no nonzero row
         raises Unbounded;
@@ -374,59 +385,55 @@ def halfplane_intersect(h: HPolytope) -> VPolygon:
     Every input row either supports an edge of the result or is redundant.
     The corners, already in CCW order, are the result with no hull.
     """
-    planar = h.planar_rows()
-    for n, c in planar:
-        if n.is_zero() and c < 0:
-            raise Empty("contradictory trivial row")
-    rows = sorted(((n, c) for n, c in planar if not n.is_zero()),
-                  key=cmp_to_key(lambda r, s: _angle_cmp(r[0], s[0])))
+    planar = [_over_lcm((n.x, n.y, c))[0] for n, c in h.planar_rows()]
+    if any(A == B == 0 and C < 0 for A, B, C in planar):
+        raise Empty("contradictory trivial row")
+    rows = sorted((r for r in planar if r[0] or r[1]), key=cmp_to_key(_angle_cmp))
     if not rows:
         raise Unbounded("no constraints")
 
     dirs = []  # the most restrictive row per normal direction, by angle
-    for n, c in rows:
-        if dirs and _angle_cmp(dirs[-1][0], n) == 0:
-            m, d = dirs[-1]
-            if c * m.dot(m) < n.dot(m) * d:
-                dirs[-1] = (n, c)
+    for n in rows:
+        if dirs and _angle_cmp(dirs[-1], n) == 0:
+            m = dirs[-1]
+            if n[2] * (m[0] * m[0] + m[1] * m[1]) < (n[0] * m[0] + n[1] * m[1]) * m[2]:
+                dirs[-1] = n
         else:
-            dirs.append((n, c))
-    for (m, _), (n, _) in zip(dirs[-1:] + dirs[:-1], dirs):
-        if m.cross(n) <= 0:
-            raise Unbounded(f"recession direction {m.perp()}")
+            dirs.append(n)
+    for m, n in zip(dirs[-1:] + dirs[:-1], dirs):
+        if _turn((0, 0), m, n) <= 0:
+            raise Unbounded(f"recession direction ({-m[1]}, {m[0]})")
 
     lines = deque()  # rows of the current boundary chain, by angle
     corners = deque()  # corners[i] is the vertex of lines[i] and lines[i + 1]
-    for n, c in dirs:
-        while corners and n.dot(corners[-1]) >= c:
+    for n in dirs:
+        while corners and _fails(n, corners[-1]):
             lines.pop()
             corners.pop()
-        while corners and n.dot(corners[0]) >= c:
+        while corners and _fails(n, corners[0]):
             lines.popleft()
             corners.popleft()
         if lines:
-            m, d = lines[-1]
-            if m.cross(n) <= 0:
+            if _turn((0, 0), lines[-1], n) <= 0:
                 raise Empty("intersection is empty")
-            corners.append(_line_intersection(m, d, n, c))
-        lines.append((n, c))
-    while len(lines) > 2 and lines[0][0].dot(corners[-1]) >= lines[0][1]:
+            corners.append(_line_intersection(lines[-1], n))
+        lines.append(n)
+    while len(lines) > 2 and _fails(lines[0], corners[-1]):
         lines.pop()
         corners.pop()
-    while len(lines) > 2 and lines[-1][0].dot(corners[0]) >= lines[-1][1]:
+    while len(lines) > 2 and _fails(lines[-1], corners[0]):
         lines.popleft()
         corners.popleft()
-    (m, d), (n, c) = lines[-1], lines[0]
-    if len(lines) < 3 or m.cross(n) <= 0:
+    if len(lines) < 3 or _turn((0, 0), lines[-1], lines[0]) <= 0:
         raise Empty("intersection is empty or lower-dimensional")
-    corners.append(_line_intersection(m, d, n, c))
+    corners.append(_line_intersection(lines[-1], lines[0]))
     # corners[i - 1] and corners[i] lie on lines[i], and consecutive rows have
-    # distinct directions (m.cross(n) > 0), so three consecutive corners are
+    # distinct directions (cross > 0), so three consecutive corners are
     # collinear only if two coincide: without repeats they are strictly convex.
     kept = [q for q, r in zip(corners, list(corners)[1:] + [corners[0]]) if q != r]
     if len(kept) < 3:
         raise Empty("intersection is lower-dimensional")
-    return VPolygon(kept, _trusted=True)
+    return _from_rational(kept)
 
 
 def _clip_points(p: VPolygon, A: int, B: int, C: int) -> tuple:
@@ -461,8 +468,7 @@ def clip_halfplane(p: VPolygon, a: Vec2, c) -> VPolygon | None:
     # convex, in CCW boundary order.
     if len(out) < 3:
         return None
-    return VPolygon([Vec2(Fraction(x, d * L), Fraction(y, d * L)) for x, y, d in out],
-                    _trusted=True)
+    return _from_rational(out, L)
 
 
 def cut_area(p: VPolygon, a: Vec2, c) -> Fraction:

@@ -150,6 +150,11 @@ class TestHalfplaneIntersect:
         assert pm.halfplane_intersect(HPolytope.planar(rows)) == poly
         assert len(calls) <= 2 * len(rows)
 
+    def test_line_intersection_is_a_lowest_terms_triple(self):
+        # 2 x = 2 and -4 y = -8 cross at (1, 2), whichever row comes first
+        assert pm.core._line_intersection((2, 0, 2), (0, -4, -8)) == (1, 2, 1)
+        assert pm.core._line_intersection((0, -4, -8), (2, 0, 2)) == (1, 2, 1)
+
     def test_roundtrip_with_vertex_form(self):
         rng = random.Random(11)
         done = 0

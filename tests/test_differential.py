@@ -14,16 +14,17 @@ also on a polygon with coordinates near 10^300 and on a 256-gon.  The
 contact maps are checked on feasible search candidates, and so are the
 integer solves of the push and rotate moves, against Fraction supports over
 the vertices.  The halfplane intersection is checked on small random row
-sets and on the shuffled edge rows of the bodies.  The integer hull is
-checked against a monotone chain over Fraction tuples, on point sets with
-duplicates, collinear runs, mixed denominators and coordinates near 10^6;
-the integer vertex-list checks and symmetral merge against their Fraction
-loops; every integer form that a hull, symmetral, translate or validated
-polygon is born with against a fresh one; and the closed-form pair limit
-`search._limit` of the move stops, with its early exit, against the kink
-walk `_tau_limit`, on feasible integer inputs up to 10^300.  The polar's
-integer form that `gauge_rows` builds from the body's integer edges is
-checked against a fresh form and against the retired Fraction rows; the
+sets, each row scaled by a positive rational, and on the shuffled edge rows
+of the bodies.  The integer hull is checked against a monotone chain over
+Fraction tuples, on point sets with duplicates, collinear runs, mixed
+denominators and coordinates near 10^6; the integer vertex-list checks and
+symmetral merge against their Fraction loops; every integer form that a
+hull, symmetral, translate, affine image, scale, halfplane intersection,
+clip or validated polygon is born with against a fresh one; and the
+closed-form pair limit `search._limit` of the move stops, with its early
+exit, against the kink walk `_tau_limit`, on feasible integer inputs up to
+10^300.  The polar's integer form that `gauge_rows` reads is checked
+against a fresh form and against the retired Fraction rows; the
 minima box extents, and the reduced box's on shears that take the
 Gauss-reduced path, against Fraction maxima over the vertices;
 `is_symmetric` against the vertex set; and each Grünbaum cut
@@ -401,7 +402,8 @@ def row_sets(draw):
     a row may be an earlier one scaled and shifted (parallel), negated and
     shifted (antiparallel), or a line through or just beside the crossing
     of two earlier lines, so redundant, unbounded, empty and
-    lower-dimensional sets all occur."""
+    lower-dimensional sets all occur.  Each row is then scaled by a drawn
+    1, 2, 1/3 or 7/5, which keeps its halfplane."""
     rows = []
     for _ in range(draw(st.integers(1, 9))):
         kind = draw(st.sampled_from(["fresh", "fresh", "parallel", "antiparallel",
@@ -422,7 +424,9 @@ def row_sets(draw):
             x = ((c * q - d * b) / F(det), (a * d - p * c) / F(det)) if det else (0, 0)
             u, v = draw(small), draw(small)
             rows.append(((u, v), u * x[0] + v * x[1] + shift))
-    return rows
+    scales = draw(st.lists(st.sampled_from([1, 1, 2, F(1, 3), F(7, 5)]),
+                           min_size=len(rows), max_size=len(rows)))
+    return [((t * a, t * b), t * c) for ((a, b), c), t in zip(rows, scales)]
 
 
 @settings(max_examples=400)
@@ -439,6 +443,7 @@ def test_halfplane_intersection_matches_all_pairs_oracle(rows):
 @given(bodies.filter(lambda K: len(K.polygon) <= 16), st.randoms(use_true_random=False),
        st.lists(st.tuples(st.integers(0, 47), st.integers(1, 3), st.sampled_from(
            [-1, 0, 0, 1, F(1, 3)])), max_size=4))
+@example(HUGE, random.Random(0), [])
 def test_halfplane_intersection_of_shuffled_edge_rows(K, rnd, extra):
     edges = [((n.x, n.y), c) for n, c in pm.edge_halfplanes(K.polygon)]
     rows = list(edges)
@@ -497,10 +502,15 @@ def test_born_integer_forms_match_fresh_forms(K, q, i):
     fresh = Body(poly=K.polygon)
     sym = pm.central_symmetral(fresh).polygon
     assert _tuples(pm.central_symmetral(fresh)) == merge_symmetral(_tuples(fresh))
+    flip = pm.Transform2.linear(F(1, 2), 3, F(2, 3), -1, vec(*q))  # det -5/2
+    clip = pm.clip_halfplane(K.polygon, vec(1, q[1]), 0)
+    assert clip is not None  # the origin is interior
     built = [pm.convex_hull(vs + (vec(*q),)), sym,
-             pm.core.translate_poly(K.polygon, -vs[i % len(vs)]),
-             pm.core.translate_poly(K.polygon, vec(*q)),
-             pm.VPolygon(vs[i % len(vs):] + vs[:i % len(vs)])]
+             pm.translate(K, -vs[i % len(vs)]).polygon,
+             pm.translate(K, vec(*q)).polygon,
+             pm.VPolygon(vs[i % len(vs):] + vs[:i % len(vs)]),
+             pm.halfplane_intersect(HPolytope.planar(pm.edge_halfplanes(K.polygon))),
+             pm.apply_transform(flip, K).polygon, pm.scale(K, F(2, 3)).polygon, clip]
     for poly in built:
         assert poly._integer == _fresh_form(poly)
 
@@ -589,7 +599,7 @@ def reduced_shears(draw):
 @given(bodies)
 @example(HUGE)
 def test_polar_form_built_by_gauge_rows_matches_fresh_form(K):
-    # gauge_rows hands the polar the form it builds from K's integer edges
+    # gauge_rows is the polar's integer form, built once and kept on it
     fresh = Body(poly=K.polygon)
     for B in (fresh, pm.central_symmetral(fresh)):
         rows = pm.body.gauge_rows(B)

@@ -109,6 +109,17 @@ class TestConjectureFamily:
         assert PI_LOWER < F(3141592653589794, 10**15)
         assert rep.holds
 
+    def test_kuperberg_verdict_is_decided_at_the_upper_pi_bound(self, monkeypatch):
+        # holds is certified against PI_UPPER >= pi, while lhs, rhs and slack
+        # stay on PI_LOWER: a huge upper bound flips the verdict alone
+        assert pm.verify.PI_UPPER > F(3141592653589794, 10**15)
+        before = by_id(pm.conjecture_report(T11), "eq_1_9")[0]
+        monkeypatch.setattr(pm.verify, "PI_UPPER", F(100))
+        after = by_id(pm.conjecture_report(T11), "eq_1_9")[0]
+        assert before.holds and not after.holds
+        changed = {k for k in before.to_json() if before.to_json()[k] != after.to_json()[k]}
+        assert changed == {"holds"}
+
     def test_simplex_product_bound_equality(self):
         # the balanced simplex attains the product form of Makai's bound
         rep = by_id(pm.conjecture_report(S2), "eq_1_6")[0]
