@@ -63,6 +63,8 @@ def body_from_json(doc: dict) -> Body:
         pts = [vec(rat(x), rat(y)) for x, y in doc["vertices"]]
         # Accept any ordering of a strictly convex vertex list, but reject
         # duplicate, collinear and interior points (VPolygon invariant).
+        if len(set(pts)) < len(pts):
+            raise DegenerateInput("duplicate vertices")
         hull = convex_hull(pts)
         if hull.vertex_set() != frozenset(pts):
             raise DegenerateInput("vertex list contains non-extreme points")

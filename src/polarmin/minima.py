@@ -18,12 +18,13 @@ holds unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .body import Body, as_body, apply_transform, centered, \
     central_symmetral, gauge, gauge_rows, is_symmetric, polar, scale, Transform2
-from .core import E1, E2, Vec2, integer_form, rat_str, vec
+from .core import E1, E2, Vec2, centroid, integer_form, rat_str, vec
 from .errors import InternalInvariantViolation, NotNormalized, OriginNotInterior
 
 
@@ -42,10 +43,10 @@ class MinimaCert:
 
     Every integral z outside the box |z_j| <= search_radius * extents[j]
     satisfies gauge(z) > search_radius >= lambdas[-1], so the enumeration
-    that produced the witnesses was complete.  `short_vectors` keeps what
-    that enumeration found: every (z, gauge(z)) with gauge(z) <= lambda_2,
-    in witness_key order, so later consumers filter it instead of walking
-    the lattice again.
+    that produced the witnesses was complete.  It keeps the walk's integer
+    points of gauge <= lambda_2; `short_vectors`, built on first read, lists
+    them as (z, gauge(z)) in witness_key order, so later consumers filter
+    it instead of walking the lattice again.
 
     The box is a statement about the body in its own coordinates and holds
     as stated; the enumeration itself walked the coefficients y of z = By,
@@ -59,8 +60,14 @@ class MinimaCert:
     witnesses: tuple  # integral Vec2, linearly independent
     search_radius: Fraction
     extents: tuple  # per-coordinate max |x_j| over the body
-    short_vectors: tuple  # ((z, gauge), ...) with gauge <= lambda_2
     basis: tuple  # (b1, b2), integral Vec2 columns of B, det = +-1
+    _short: tuple = field(repr=False)  # (kept, D), see _certify
+
+    @cached_property
+    def short_vectors(self) -> tuple:
+        kept, D = self._short
+        return tuple((Vec2(Fraction(-x), Fraction(-y)), Fraction(N, D))
+                     for N, _, _, x, y in sorted(kept))
 
     def to_json(self) -> dict:
         return {
@@ -88,9 +95,9 @@ def successive_minima(K) -> MinimaCert:
     lie in the box.  One integer walk visits the box in the coordinates of
     a basis B of Z², Gauss-reduced for the norm max(gauge(z), gauge(-z)),
     in growing square rings pruned by a running bound that never drops
-    below lambda_2; every lattice point of gauge <= lambda_2 is visited,
-    and they are kept, mapped back by B and in witness_key order, as the
-    certificate's short vectors.
+    below lambda_2; every lattice point of gauge <= lambda_2 is visited and
+    kept as integers, mapped back by B, and two linear min passes over them
+    give both minima with their witnesses, with no sort.
 
     The certificate is stored on the body and returned by every later call,
     so each body is enumerated at most once.
@@ -221,20 +228,16 @@ def _certify(K: Body) -> MinimaCert:
         walk_radius = _radius(_seeds(walk_rows))
     found, l2 = _walk(walk_rows, D, walk_ext, walk_radius)
     (a, b), (c, d) = b1, b2
-    # witness_key orders integer points and numerators N exactly as it
-    # orders the Vec2s and gauges N/D they stand for
-    kept = sorted(((Vec2(a * p + c * q, b * p + d * q), N)
-                   for N, p, q in found if N <= l2),
-                  key=lambda entry: witness_key(*entry))
-    w1 = kept[0][0]
-    i = next((i for i, (z, _) in enumerate(kept) if w1.cross(z)), None)
-    if i is None:
+    # z = (x, y) of gauge N/D as (N, |y|, |x|, -x, -y), in witness_key order
+    kept = tuple((N, abs(y), abs(x), -x, -y) for N, p, q in found if N <= l2
+                 for x, y in [(a * p + c * q, b * p + d * q)])
+    k1 = min(kept)
+    k2 = min((k for k in kept if k1[3] * k[4] != k1[4] * k[3]), default=None)
+    if k2 is None:
         raise InternalInvariantViolation("certificate box holds no independent pair")
-    short = tuple((Vec2(Fraction(z.x), Fraction(z.y)), Fraction(N, D))
-                  for z, N in kept)
-    (w1, g1), (w2, g2) = short[0], short[i]
-    return MinimaCert((g1, g2), (w1, w2), Fraction(radius, D), ext, short,
-                      (vec(*b1), vec(*b2)))
+    (N1, _, _, x1, y1), (N2, _, _, x2, y2) = k1, k2
+    return MinimaCert((Fraction(N1, D), Fraction(N2, D)), (vec(-x1, -y1), vec(-x2, -y2)),
+                      Fraction(radius, D), ext, (vec(*b1), vec(*b2)), (kept, D))
 
 
 def minima_basis(Ksym) -> MinimaBasis:
@@ -281,16 +284,13 @@ def normalize_to_At(K) -> AtNormalForm:
     """
     K = as_body(K)
     K0 = centered(K)
-    # the canonical rotation (least vertex first) is translation invariant,
-    # so the first vertices differ by exactly the centroid
-    c = K.polygon.vertices[0] - K0.polygon.vertices[0]
+    c = centroid(K.polygon)
     if not K0.contains_origin("open"):
         raise OriginNotInterior("centroid translation did not give interior origin")
     dual = polar(central_symmetral(K0))
     basis = minima_basis(dual)
     l1, l2 = successive_minima(dual).lambdas
-    U = Transform2(((basis.z1.x, basis.z1.y), (basis.z2.x, basis.z2.y)),
-                   translation=vec(0, 0))
+    U = Transform2(((basis.z1.x, basis.z1.y), (basis.z2.x, basis.z2.y)))
     # fold the centroid shift into the returned transform: T(x) = U(x - c)
     T = Transform2(U.m, translation=-U.apply_vec(c))
     mu = 1 / l2

@@ -124,9 +124,7 @@ def check_upper_centered(K) -> Report:
     """vol(K) <= (n+1)^n/n! * prod lambda_i(K°) for centered K (translated
     internally; the applied shift is recorded in the report)."""
     K = as_body(K)
-    # the canonical rotation (least vertex first) is translation invariant,
-    # so the first vertices differ by exactly the centroid
-    c = K.polygon.vertices[0] - centered(K).polygon.vertices[0]
+    c = centroid(K.polygon)
     l1, l2 = _lam(polar(centered(K)))
     meta = {} if c.is_zero() else {"translated_by": f"({rat_str(-c.x)}, {rat_str(-c.y)})"}
     return _report("eq_1_11", K.volume(), Fraction(9, 2) * l1 * l2, "le", meta=meta)

@@ -168,6 +168,14 @@ class TestAnalyzeCommand:
         doc = {"type": "vpoly", "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}
         assert run("analyze", write_body(tmp_path, doc)).exit_code == 3
 
+    def test_repeated_vertex_exit_3(self, tmp_path):
+        # a point listed twice, also as the same rational in other terms
+        for doc in ({"type": "vpoly", "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["0", "0"]]},
+                    {"type": "vpoly", "vertices": [["1/2", "0"], ["0", "1"], ["0", "0"], ["2/4", "0"]]}):
+            res = run("analyze", write_body(tmp_path, doc))
+            assert res.exit_code == 3
+            assert "invalid body: duplicate vertices" in res.output
+
     def test_decimal_flag_adds_renderings(self, tmp_path):
         doc = {"type": "vpoly",
                "vertices": [["-1", "0"], ["1", "1"], ["0", "-1"]]}

@@ -150,6 +150,18 @@ class TestHalfplaneIntersect:
         assert pm.halfplane_intersect(HPolytope.planar(rows)) == poly
         assert len(calls) <= 2 * len(rows)
 
+    def test_corner_on_the_row_line_fails_the_row(self):
+        # the corner test is strict: a corner on the row's line is not inside
+        # it, at any scale of the row or the triple; an interior one is
+        for s in (1, 10**300):
+            for row, corner in (((1, 0, 0), (0, 5, 1)), ((2, 3, 5), (1, 1, 1))):
+                scaled = tuple(s * c for c in row), tuple(s * c for c in corner)
+                assert pm.core._fails(*scaled)
+                assert pm.core._fails(scaled[0], corner)
+                assert pm.core._fails(row, scaled[1])
+            assert not pm.core._fails((s, 0, s), (1, 7, 3))
+            assert not pm.core._fails((1, 0, 1), (s, 7 * s, 3 * s))
+
     def test_line_intersection_is_a_lowest_terms_triple(self):
         # 2 x = 2 and -4 y = -8 cross at (1, 2), whichever row comes first
         assert pm.core._line_intersection((2, 0, 2), (0, -4, -8)) == (1, 2, 1)

@@ -5,7 +5,10 @@ The bodies are corpus polygons, rational n-gons with up to 48 vertices
 moved to their centroid) and unimodular shears of corpus polygons; the
 minima are also checked on products of shears, swaps and signs of those,
 and on thin rectangles and diamonds (lambda_2/lambda_1 up to 900) and
-their unimodular images.
+their unimodular images; the minima and witnesses, taken by two min passes
+over the kept integers, against the first independent pair of the short
+vector list built on first read, also on shears walked in a Gauss-reduced
+basis.
 The clips and affine images, built without a hull, are checked against
 the hull of the same points, and the integer-form cut areas against the
 shoelace of that hull.  The integer-form area, centroid, membership test
@@ -594,6 +597,22 @@ def reduced_shears(draw):
     image = pm.apply_transform(T, K)
     assume(pm.successive_minima(image).basis != (pm.E1, pm.E2))
     return image
+
+
+@given(st.one_of(bodies, reduced_shears()))
+@example(HUGE)
+def test_minima_are_the_first_independent_pair_of_the_view(K):
+    # lambda and the witnesses come from two min passes over the kept
+    # integers; read off the view, they are its first entry and its first
+    # entry off that one's line
+    fresh = Body(poly=K.polygon)
+    sym = pm.central_symmetral(fresh)
+    for D in (fresh, sym, pm.polar(fresh), pm.polar(sym)):
+        cert = pm.successive_minima(D)
+        (w1, g1), *rest = cert.short_vectors
+        w2, g2 = next((z, g) for z, g in rest if w1.cross(z))
+        assert cert.witnesses == (w1, w2)
+        assert cert.lambdas == (g1, g2)
 
 
 @given(bodies)

@@ -9,6 +9,7 @@ from polarmin import Body, NotNormalized, vec
 
 from oracles import brute_minima
 from test_body import random_origin_interior_body, random_unimodular
+from test_cli import run, write_body
 
 SQUARE = Body.from_points([vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)])
 CROSS = Body.from_points([vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)])
@@ -128,6 +129,34 @@ class TestSuccessiveMinima:
         assert doc["lambda"] == ["1", "1"]
         assert doc["witnesses"] == [[1, 0], [0, 1]]
         assert doc["radius"] == "1"
+
+
+class TestShortVectorsOnDemand:
+    def test_report_cards_and_analyze_build_no_short_vectors(self, corpus60, monkeypatch, tmp_path):
+        # the report card and `analyze` read lambda and the witnesses only,
+        # so no certificate they make builds its short-vector view
+        certs = []
+        inner = pm.minima._certify
+        monkeypatch.setattr(pm.minima, "_certify", lambda K: certs.append(inner(K)) or certs[-1])
+        bodies = [Body(poly=K.polygon) for K in corpus60]
+        for K in bodies:
+            pm.standard_checks(K, pm.verify.DEFAULT_GRUNBAUM_NORMALS)
+        doc = {"type": "vpoly",
+               "vertices": [["30", "1/30"], ["-30", "1/30"], ["-30", "-1/30"], ["30", "-1/30"]]}
+        assert run("analyze", write_body(tmp_path, doc)).exit_code == 0
+        for K in bodies:
+            cs = pm.central_symmetral(K)
+            for D in (cs, pm.polar(K), pm.polar(cs)):
+                assert any(D._minima is cert for cert in certs)
+        assert len(certs) > 3 * len(bodies)
+        assert not [cert for cert in certs if "short_vectors" in vars(cert)]
+
+    def test_view_is_built_once_on_first_read(self):
+        cert = pm.successive_minima(pm.polar(T23))
+        assert "short_vectors" not in vars(cert)
+        first = cert.short_vectors
+        assert cert.short_vectors is first and vars(cert)["short_vectors"] is first
+        assert "short_vectors" not in repr(cert)
 
 
 class TestReducedEnumeration:
