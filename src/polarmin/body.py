@@ -14,6 +14,8 @@ linear-time, hull-free code path and is computed at most once per body:
     checks all ask;
   * the central symmetral is the Minkowski sum (K + (-K))/2, built by
     merging the two angle-sorted integer edge sequences of K's integer form;
+    an origin-symmetric body is its own symmetral, so its polar and minima
+    are certified once;
   * successive minima are stored on the body by `minima.successive_minima`;
   * the centroid translate is built once, on the integer form, and shares
     the body's symmetral, since cs(K + v) = cs(K).
@@ -43,7 +45,8 @@ class Body:
     centroid translate) is populated at most once, so concurrent readers
     always observe a single consistent value.  No memo refers back to its
     body, so reference counting, not the cycle collector, frees a body and
-    its memos.
+    its memos: a body that is its own symmetral (K = -K) or its own centroid
+    translate (centroid 0) records that as False.
     """
 
     __slots__ = ("dim", "family", "_poly", "_hrep", "_volume", "_origin_open",
@@ -202,9 +205,13 @@ def central_symmetral(K) -> Body:
     Geometry, section 13.3), as integer edges of K's integer form; each output
     vertex is (P_i - P_j)/(2 L) for the current vertex P_i of K and -P_j of
     -K.  Edges of equal direction are taken in one step, so it is strictly convex.
+    An origin-symmetric K is its own symmetral and is returned as is
+    (memoized as False, not as a self-reference).
     """
     K = as_body(K)
-    if K._symmetral is None:
+    if K._symmetral is None and is_symmetric(K):
+        K._symmetral = False
+    elif K._symmetral is None:
         pts, L = core.integer_form(K.polygon)
         n = len(pts)
         edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
@@ -226,7 +233,7 @@ def central_symmetral(K) -> Body:
                 left_j -= 1
             out.append((pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]))
         K._symmetral = Body(poly=core._from_integer(out, 2 * L))
-    return K._symmetral
+    return K._symmetral or K
 
 
 def is_symmetric(K) -> bool:

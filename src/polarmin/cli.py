@@ -21,7 +21,7 @@ import click
 from .body import central_symmetral, polar
 from .core import dec_str, rat, rat_str
 from .errors import BadParams, GeometryError, LimitExceeded, NoFeasibleStart
-from .families import FamilySpec, make
+from .families import FAMILY_NAMES, FamilySpec, make
 from .jsonio import body_from_json, body_to_json, vertices_json
 from .minima import successive_minima
 from .search import multi_start
@@ -117,7 +117,7 @@ def analyze(body_file, decimal, output):
 
 
 @main.command()
-@click.option("--name", required=True, help="family name (T_st, cube, cross, S_n, T_n, T_of_s, Q_quad, Tri_case2)")
+@click.option("--name", required=True, help=f"family name ({', '.join(FAMILY_NAMES)})")
 @click.option("--s", "s_", default=None, help="parameter s (rational)")
 @click.option("--t", "t_", default=None, help="parameter t (rational)")
 @click.option("--t1", default=None, help="parameter t1 (rational)")

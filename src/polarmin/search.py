@@ -22,9 +22,10 @@ re-certified from scratch afterwards:
 All comparisons are exact.  Push and rotate share one stop solver: the
 moving vertex slides along an integer direction over the polygon's integer
 form (vertices (X_k, Y_k)/L), and each lattice constraint z = (m, n) stops
-it at a closed-form point read off one pass of the integers X_k m + Y_k n,
-the pass the contact map reads its supports from.  The 1e-6 figure appears
-only in human-readable gap summaries.
+it at a closed-form point read off the integers X_k m + Y_k n of the other
+vertices, one pass per constraint in `_stops`; the contact map computes its
+own supports, one pass per contact point.  The 1e-6 figure appears only in
+human-readable gap summaries.
 """
 
 from __future__ import annotations

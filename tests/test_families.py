@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -69,6 +70,44 @@ class TestMake:
     def test_default_split_is_balanced(self):
         q = body("Q_quad", {"t": 2})
         assert q.family[1]["t1"] == q.family[1]["t2"] == F(1, 2)
+
+
+class TestFamilyContract:
+    PLANAR_PARAMS = {"T_st": {"s": 1, "t": 2}, "Q_quad": {"t": 1}, "Tri_case2": {"t": 1}}
+
+    def test_planar_families_refuse_dimension_three_first(self):
+        # "is planar" comes before any parameter check, and only from make
+        for name, params in self.PLANAR_PARAMS.items():
+            with pytest.raises(BadParams, match=f"^{name} is planar$"):
+                body(name, {}, 3)
+            spec = FamilySpec(name, params, 3)
+            assert pm.closed_form_volume(spec) == pm.closed_form_volume(FamilySpec(name, params))
+
+    def test_other_families_refuse_dimension_one(self):
+        for name in set(pm.FAMILY_NAMES) - set(self.PLANAR_PARAMS):
+            with pytest.raises(BadParams, match=f"^family {name} needs dimension >= 2$"):
+                body(name, {"s": 1}, 1)
+
+    def test_simplex_has_no_stated_minima_at_any_dimension(self):
+        for dim in (1, 2, 3, 4):
+            with pytest.raises(NoClosedForm):
+                pm.closed_form_minima(FamilySpec("S_n", dim=dim))
+
+    def test_renamed_spec_is_unknown_to_every_reader(self):
+        # FamilySpec is mutable; a name changed after construction must not
+        # fall through to another family's record
+        for name, params in [("cube", {}), ("Tri_case2", {"t": 1})]:
+            spec = FamilySpec(name, params)
+            spec.name = "nonesuch"
+            for reader in (pm.make, pm.closed_form_volume, pm.closed_form_minima):
+                with pytest.raises(BadParams, match="^unknown family 'nonesuch'$"):
+                    reader(spec)
+
+    def test_t_n_is_t_of_s_at_one_half(self):
+        for dim in (2, 3, 4):
+            t_n = FamilySpec("T_n", dim=dim)
+            assert pm.closed_form_volume(t_n) == F(dim + 1) ** dim / math.factorial(dim)
+            assert pm.make(t_n)._hrep.rows[-1][1] == 1
 
 
 class TestClosedFormVolume:

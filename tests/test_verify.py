@@ -207,6 +207,21 @@ class TestSuiteInvariants:
         standard_checks(shifted, random_normals("shift", 20))
         assert len(calls) == len(set(calls)) == 3
 
+    def test_symmetric_body_certifies_each_polygon_once(self, monkeypatch):
+        # K = -K is its own symmetral, so cs(K)° is K° and only K and K°
+        # are certified
+        calls = []
+        certify = minima._certify
+        monkeypatch.setattr(minima, "_certify",
+                            lambda K: calls.append(K.polygon) or certify(K))
+        r30 = pm.Body.from_points([vec(30, F(1, 30)), vec(-30, F(1, 30)),
+                                   vec(-30, F(-1, 30)), vec(30, F(-1, 30))])
+        for K in (pm.make(FamilySpec("cube")), r30):
+            calls.clear()
+            standard_checks(K, random_normals("symmetric", 4))
+            assert len(calls) == len(set(calls)) == 2
+            assert pm.central_symmetral(K) is K
+
     def test_checks_and_descents_leave_no_reference_cycles(self, corpus60):
         # no memo refers back to its body (a polar to the body it is the
         # polar of, a centroid-0 body to itself), so reference counting
