@@ -237,9 +237,12 @@ def central_symmetral(K) -> Body:
 
 
 def is_symmetric(K) -> bool:
-    """True iff K = -K exactly: the integer form's point set is its own negative."""
+    """True iff K = -K exactly.  Reflection keeps the counterclockwise order
+    and fixes no vertex, so it maps the i-th point of the integer form to the
+    (i + n/2)-th: n is even and each point is the negative of that one."""
     pts, _ = core.integer_form(as_body(K).polygon)
-    return set(pts) == {(-x, -y) for x, y in pts}
+    h = len(pts) // 2
+    return 2 * h == len(pts) and all(x == -u and y == -v for (x, y), (u, v) in zip(pts, pts[h:]))
 
 
 def translate(K, v: Vec2) -> Body:
